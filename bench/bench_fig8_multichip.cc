@@ -46,7 +46,6 @@ runPoint(const Options &opts, const Point &p)
     cfg.threads = 8;
     cfg.words = p.halo ? 32 : 64;
     cfg.iters = 2;
-    cfg.engine = opts.engine;
     cfg.obs = opts.obs;
     cfg.obs.tag = strprintf("fig8.%ux%ux%u.%s", p.shape.x, p.shape.y,
                             p.shape.z, p.halo ? "halo" : "stream");

@@ -6,26 +6,18 @@
  *
  * Not a paper figure — this tracks the repo's own performance
  * trajectory so optimization PRs can show wins and regressions are
- * caught. Measures representative serial workloads (STREAM kernels,
- * the SPLASH-2 FFT and a multi-chip halo exchange on the fabric —
- * the lockstep path the single-chip rows never touch), the aggregate
- * throughput of a parallel
- * sweep at --jobs, and the cycle-engine comparison (serial vs the
- * sharded engine at 1/2/4/8 workers vs sampled fast-forward) on the
- * 126-thread STREAM Triad point, and emits machine-readable
- * BENCH_simperf.json. The sharded rows double as a determinism check:
- * their simulated cycle and instruction counts must equal the serial
- * engine's exactly, at every worker count.
+ * caught. Measures representative workloads (STREAM kernels, the
+ * SPLASH-2 FFT and a multi-chip halo exchange on the fabric — the
+ * lockstep path the single-chip rows never touch) and the aggregate
+ * throughput of a parallel sweep at --jobs, and emits machine-readable
+ * BENCH_simperf.json.
  *
  * Wall-clock numbers vary run to run and host to host; the simulated
  * cycle counts printed alongside are deterministic and double as a
  * quick cross-check that an optimization did not change results.
  * Overhead experiments (profiler, host telemetry, fabric
- * observability) therefore report
- * the median of repeated runs plus the coefficient of variation, and
- * the sharded/sampled engine rows run with --host-obs-style telemetry
- * so the emitted "hostObs" JSON section decomposes where their wall
- * time went (see DESIGN.md section 15).
+ * observability, fault model) therefore report the median of repeated
+ * runs plus the coefficient of variation.
  */
 
 #include <algorithm>
@@ -69,7 +61,6 @@ struct Measurement
     u64 instructions = 0;
     double wallSeconds = 0;
     arch::CycleBreakdown attr; ///< where the simulated cycles went
-    HostObsSnapshot host;      ///< host telemetry (when obs.hostObs)
     FabricCounters fabric;     ///< multi-chip rows only
 
     double
@@ -113,7 +104,6 @@ measureStream(const char *name, StreamKernel kernel, u32 threads,
     m.simCycles = result.simCycles;
     m.instructions = result.instructions;
     m.attr = result.attr;
-    m.host = result.host;
     if (!result.verified)
         warn("simperf: %s failed verification", name);
     return m;
@@ -288,103 +278,6 @@ measureSweep(const Options &opts, const std::vector<u32> &sizes)
     return m;
 }
 
-/** One engine-comparison row: a named engine setup and its result. */
-struct EngineRow
-{
-    std::string name;   ///< "serial", "sharded", "sampled"
-    u32 workers = 0;    ///< sharded worker count (0 otherwise)
-    Measurement m;
-    double speedup = 0; ///< serial wall / this wall
-};
-
-/** Run the engine-comparison workload under @p engine. */
-Measurement
-measureEngine(const char *name, const EngineConfig &engine, u32 ept,
-              bool hostObs = false)
-{
-    StreamConfig cfg;
-    cfg.kernel = StreamKernel::Triad;
-    cfg.threads = 126;
-    cfg.elementsPerThread = ept;
-    ChipConfig chipCfg;
-    chipCfg.engine = engine;
-    chipCfg.obs.hostObs = hostObs;
-    const auto start = std::chrono::steady_clock::now();
-    const StreamResult result = runStream(cfg, chipCfg);
-    Measurement m;
-    m.name = name;
-    m.wallSeconds = secondsSince(start);
-    m.simCycles = result.simCycles;
-    m.instructions = result.instructions;
-    m.attr = result.attr;
-    m.host = result.host;
-    if (!result.verified)
-        warn("simperf: %s failed verification", name);
-    return m;
-}
-
-/**
- * The cycle-engine comparison on the 126-thread Triad point: serial
- * reference, sharded at 1/2/4/8 workers (results must be identical),
- * and sampled fast-forward (results approximate; the error is
- * reported). Returns the rows; @p samplingErrorPct receives the
- * sampled engine's simulated-cycle error against serial.
- */
-std::vector<EngineRow>
-measureEngines(u32 ept, double *samplingErrorPct)
-{
-    std::vector<EngineRow> rows;
-
-    EngineConfig serial;
-    rows.push_back({"serial", 0,
-                    measureEngine("engine_serial", serial, ept), 1.0});
-    // Copy, not reference: the push_backs below reallocate the vector.
-    const Measurement ref = rows[0].m;
-
-    // The sharded and sampled rows run with host telemetry on: the
-    // hostObs JSON section decomposes their wall-clock gap against the
-    // serial reference, which stays telemetry-free. The determinism
-    // check below doubles as proof that telemetry never changes
-    // simulated results.
-    for (u32 w : {1u, 2u, 4u, 8u}) {
-        EngineConfig sharded;
-        sharded.kind = EngineKind::Sharded;
-        sharded.workers = w;
-        EngineRow row{strprintf("sharded_w%u", w), w,
-                      measureEngine(
-                          strprintf("engine_sharded_w%u", w).c_str(),
-                          sharded, ept, true),
-                      0};
-        if (row.m.simCycles != ref.simCycles ||
-            row.m.instructions != ref.instructions)
-            warn("simperf: sharded engine (%u workers) diverged from "
-                 "serial: %llu/%llu cycles, %llu/%llu instructions",
-                 w, static_cast<unsigned long long>(row.m.simCycles),
-                 static_cast<unsigned long long>(ref.simCycles),
-                 static_cast<unsigned long long>(row.m.instructions),
-                 static_cast<unsigned long long>(ref.instructions));
-        rows.push_back(row);
-    }
-
-    EngineConfig sampled;
-    sampled.sampled = true;
-    rows.push_back({"sampled", 0,
-                    measureEngine("engine_sampled", sampled, ept, true),
-                    0});
-    *samplingErrorPct =
-        ref.simCycles > 0
-            ? std::fabs(double(rows.back().m.simCycles) -
-                        double(ref.simCycles)) /
-                  double(ref.simCycles) * 100.0
-            : 0.0;
-
-    for (EngineRow &row : rows)
-        row.speedup = row.m.wallSeconds > 0
-                          ? ref.wallSeconds / row.m.wallSeconds
-                          : 0;
-    return rows;
-}
-
 /**
  * An on/off overhead experiment: the same workload with a feature
  * enabled vs disabled, each side measured as the median of repeated
@@ -408,17 +301,9 @@ struct Overhead
     }
 };
 
-/**
- * The "hostObs" JSON section: host-telemetry overhead, the sampled
- * engine's window split, and a per-row decomposition of the sharded
- * engine's wall-clock gap against the serial reference — crew wall,
- * coordinator wait, phase-B commit, per-worker busy/wait/ticks, and
- * what fraction of the gap the measured synchronization overhead
- * explains (gapExplainedPct).
- */
+/** The "hostObs" JSON section: host-telemetry overhead and peak RSS. */
 void
-writeHostObsJson(std::FILE *f, const Overhead &hostOh,
-                 const std::vector<EngineRow> &engines)
+writeHostObsJson(std::FILE *f, const Overhead &hostOh)
 {
     std::fprintf(f,
                  "  \"hostObs\": {\n"
@@ -427,95 +312,18 @@ writeHostObsJson(std::FILE *f, const Overhead &hostOh,
                  "    \"overheadRepeats\": %u,\n"
                  "    \"overheadDisabledCovPct\": %.2f,\n"
                  "    \"overheadEnabledCovPct\": %.2f,\n"
-                 "    \"peakRssKb\": %llu,\n",
+                 "    \"peakRssKb\": %llu\n"
+                 "  },\n",
                  hostOh.overheadPct(), hostOh.repeats, hostOh.offCovPct,
                  hostOh.onCovPct,
                  static_cast<unsigned long long>(hostPeakRssKb()));
-
-    const EngineRow *sampledRow = nullptr;
-    for (const EngineRow &e : engines)
-        if (e.name == "sampled")
-            sampledRow = &e;
-    if (sampledRow) {
-        const HostObsSnapshot &s = sampledRow->m.host;
-        std::fprintf(f,
-                     "    \"sampled\": {\"detailedCycles\": %llu, "
-                     "\"functionalCycles\": %llu, "
-                     "\"warmAccesses\": %llu},\n",
-                     static_cast<unsigned long long>(s.detailedCycles),
-                     static_cast<unsigned long long>(s.functionalCycles),
-                     static_cast<unsigned long long>(s.warmAccesses));
-    }
-
-    const double serialWall =
-        engines.empty() ? 0.0 : engines[0].m.wallSeconds;
-    std::fprintf(f, "    \"sharded\": [\n");
-    bool first = true;
-    for (const EngineRow &e : engines) {
-        if (e.workers == 0)
-            continue;
-        const HostObsSnapshot &s = e.m.host;
-        const double gap = e.m.wallSeconds - serialWall;
-        const double sync = double(s.syncOverheadNanos()) / 1e9;
-        // How much of the serial-vs-sharded gap the instrumented
-        // phases cover: the residual (wall minus crew minus phase B)
-        // is uninstrumented run-loop work the serial engine also
-        // pays, so explained = gap - residual. Slightly conservative
-        // — the residual double-counts shared scheduling cost.
-        const double residual = e.m.wallSeconds -
-                                double(s.crewNanos) / 1e9 -
-                                double(s.phaseBNanos) / 1e9;
-        const double explainedPct =
-            gap > 0 ? (gap - residual) / gap * 100.0 : 0.0;
-        if (!first)
-            std::fprintf(f, ",\n");
-        first = false;
-        std::fprintf(
-            f,
-            "      {\"name\": \"%s\", \"workers\": %u, "
-            "\"wallSeconds\": %.6f, \"gapVsSerialSeconds\": %.6f,\n"
-            "       \"crewSeconds\": %.6f, \"coordWaitSeconds\": %.6f, "
-            "\"phaseBSeconds\": %.6f,\n"
-            "       \"shardedCycles\": %llu, "
-            "\"serialFallbackCycles\": %llu, \"shardedTicks\": %llu, "
-            "\"deferredCommits\": %llu, \"quadPoisons\": %llu,\n"
-            "       \"tickImbalancePct\": %.2f, "
-            "\"syncOverheadSeconds\": %.6f, "
-            "\"gapExplainedPct\": %.1f,\n"
-            "       \"perWorker\": [",
-            e.name.c_str(), e.workers, e.m.wallSeconds, gap,
-            double(s.crewNanos) / 1e9, double(s.coordWaitNanos) / 1e9,
-            double(s.phaseBNanos) / 1e9,
-            static_cast<unsigned long long>(s.shardedCycles),
-            static_cast<unsigned long long>(s.serialFallbackCycles),
-            static_cast<unsigned long long>(s.shardedTicks),
-            static_cast<unsigned long long>(s.deferredCommits),
-            static_cast<unsigned long long>(s.workerQuadPoisons()),
-            s.tickImbalancePct(), sync, explainedPct);
-        for (size_t w = 0; w < s.worker.size(); ++w) {
-            const HostObsSnapshot::Worker &ws = s.worker[w];
-            std::fprintf(
-                f,
-                "%s{\"busySeconds\": %.6f, \"waitSeconds\": %.6f, "
-                "\"epochs\": %llu, \"ticks\": %llu, \"defers\": %llu}",
-                w ? ", " : "", double(ws.busyNanos) / 1e9,
-                double(ws.waitNanos) / 1e9,
-                static_cast<unsigned long long>(ws.epochs),
-                static_cast<unsigned long long>(ws.ticks),
-                static_cast<unsigned long long>(ws.defers));
-        }
-        std::fprintf(f, "]}");
-    }
-    std::fprintf(f, "\n    ]\n  },\n");
 }
 
 void
 writeJson(const char *path, const Options &opts,
           const std::vector<Measurement> &measurements,
           const Overhead &overhead, const Overhead &hostOh,
-          const Overhead &fabricOh, const Overhead &faultOh,
-          const std::vector<EngineRow> &engines,
-          double samplingErrorPct)
+          const Overhead &fabricOh, const Overhead &faultOh)
 {
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -527,22 +335,6 @@ writeJson(const char *path, const Options &opts,
     std::fprintf(f, "  \"jobs\": %u,\n", opts.jobs);
     std::fprintf(f, "  \"hostCores\": %u,\n",
                  std::thread::hardware_concurrency());
-    std::fprintf(f, "  \"engines\": [\n");
-    for (size_t i = 0; i < engines.size(); ++i) {
-        const EngineRow &e = engines[i];
-        std::fprintf(f,
-                     "    {\"name\": \"%s\", \"workers\": %u, "
-                     "\"simCycles\": %llu, \"instructions\": %llu, "
-                     "\"wallSeconds\": %.6f, \"mips\": %.3f, "
-                     "\"speedup\": %.3f}%s\n",
-                     e.name.c_str(), e.workers,
-                     static_cast<unsigned long long>(e.m.simCycles),
-                     static_cast<unsigned long long>(e.m.instructions),
-                     e.m.wallSeconds, e.m.mips(), e.speedup,
-                     i + 1 < engines.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f, "  \"samplingErrorPct\": %.4f,\n", samplingErrorPct);
     std::fprintf(f,
                  "  \"profilerOverhead\": {\"workload\": \"%s\", "
                  "\"profInterval\": %u, \"repeats\": %u, "
@@ -580,7 +372,7 @@ writeJson(const char *path, const Options &opts,
                  faultOh.onCovPct, faultOh.overheadPct(),
                  static_cast<long long>(s64(faultOh.on.simCycles) -
                                         s64(faultOh.off.simCycles)));
-    writeHostObsJson(f, hostOh, engines);
+    writeHostObsJson(f, hostOh);
     std::fprintf(f, "  \"workloads\": [\n");
     for (size_t i = 0; i < measurements.size(); ++i) {
         const Measurement &m = measurements[i];
@@ -691,9 +483,9 @@ main(int argc, char **argv)
     ms.push_back(overhead.off);
     ms.push_back(overhead.on);
 
-    // Host-telemetry overhead, measured the same way on the default
-    // (serial) engine: hostObs on vs off must track within ~1% and
-    // must not change simulated cycles at all.
+    // Host-telemetry overhead, measured the same way: hostObs on vs
+    // off must track within ~1% and must not change simulated cycles
+    // at all.
     Overhead hostOh;
     hostOh.repeats = kRepeats;
     {
@@ -793,15 +585,6 @@ main(int argc, char **argv)
     ms.push_back(fabricFaultOh.off);
     ms.push_back(fabricFaultOh.on);
 
-    // Cycle-engine comparison (see measureEngines). On hosts with too
-    // few cores for the crew the sharded rows measure synchronization
-    // overhead, not speedup — consumers gate on hostCores.
-    double samplingErrorPct = 0;
-    const std::vector<EngineRow> engines =
-        measureEngines(opts.quick ? 500 : 2000, &samplingErrorPct);
-    for (const EngineRow &e : engines)
-        ms.push_back(e.m);
-
     Table table({"workload", "sim cycles", "instructions", "wall s",
                  "Mcycles/s", "sim MIPS"});
     for (const Measurement &m : ms) {
@@ -812,13 +595,9 @@ main(int argc, char **argv)
                       Table::num(m.mips(), 2)});
     }
     cyclops::bench::emit(opts, table);
-    cyclops::bench::note(
-        opts, strprintf("sampled-engine cycle error vs serial: %.2f%%",
-                        samplingErrorPct)
-                  .c_str());
 
     writeJson("BENCH_simperf.json", opts, ms, overhead, hostOh,
-              fabricOh, fabricFaultOh, engines, samplingErrorPct);
+              fabricOh, fabricFaultOh);
     cyclops::bench::note(opts, "Wrote BENCH_simperf.json");
 
     u64 totalCycles = 0, totalInstructions = 0;

@@ -9,14 +9,6 @@
  *   --jobs N  run independent simulation points on N host threads
  *             (0 = all hardware threads; also CYCLOPS_BENCH_JOBS)
  *
- * Engine selection (see DESIGN.md section 14; results are identical
- * for every engine and worker count — only wall-clock changes):
- *   --engine serial|sharded   cycle engine (default serial)
- *   --engine-workers N        sharded-engine host workers (0 = auto)
- *   --engine-sampled          fast-functional + sampled-timing mode
- *   --sample-period N         sampling period in cycles
- *   --sample-detail N         detailed-window length in cycles
- *
  * Degraded-chip passthrough (see DESIGN.md section 13; repeatable):
  *   --disable-tu/quad/fpu/dcache/icache/bank N   fuse off a component
  *   --cache-ways N    live D-cache ways per set (0 = all)
@@ -42,7 +34,7 @@
  *   --host-obs            host-side simulator telemetry (hostObs
  *                         section in stats JSON, host Chrome-trace
  *                         process; DESIGN.md section 15)
- *   --manifest PATH       per-run JSON manifest (config hash, engine,
+ *   --manifest PATH       per-run JSON manifest (config hash,
  *                         git describe, wall time) for
  *                         tools/check_regress.py
  * Paths may contain "%t", replaced by a per-sweep-point tag so
@@ -81,7 +73,6 @@ struct Options
     u32 jobs = 1;
     ObsConfig obs;     ///< observability passthrough for simulated chips
     FaultConfig fault; ///< degraded-chip fault map for simulated chips
-    EngineConfig engine; ///< cycle-engine selection (serial by default)
     std::string manifestOut; ///< per-run manifest path ("" = none)
     u64 startNs = 0;         ///< hostNowNs() at option parsing
 };
@@ -165,25 +156,6 @@ parseOptions(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--watchdog") == 0 &&
                    i + 1 < argc) {
             opts.fault.watchdogCycles = u64(std::atoll(argv[++i]));
-        } else if (std::strcmp(argv[i], "--engine") == 0 &&
-                   i + 1 < argc) {
-            if (!parseEngineKind(argv[++i], &opts.engine.kind)) {
-                std::fprintf(stderr,
-                             "--engine: unknown engine '%s' (serial, "
-                             "sharded)\n", argv[i]);
-                std::exit(2);
-            }
-        } else if (std::strcmp(argv[i], "--engine-workers") == 0 &&
-                   i + 1 < argc) {
-            opts.engine.workers = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--engine-sampled") == 0) {
-            opts.engine.sampled = true;
-        } else if (std::strcmp(argv[i], "--sample-period") == 0 &&
-                   i + 1 < argc) {
-            opts.engine.samplePeriod = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--sample-detail") == 0 &&
-                   i + 1 < argc) {
-            opts.engine.sampleDetail = u32(std::atoi(argv[++i]));
         } else {
             std::fprintf(
                 stderr,
@@ -193,9 +165,6 @@ parseOptions(int argc, char **argv)
                 "          [--disable-dcache N] [--disable-icache N]\n"
                 "          [--disable-bank N] [--cache-ways N] "
                 "[--watchdog N]\n"
-                "          [--engine serial|sharded] [--engine-workers N]\n"
-                "          [--engine-sampled] [--sample-period N] "
-                "[--sample-detail N]\n"
                 "          [--trace-out P] [--trace-cats LIST]\n"
                 "          [--trace-capacity N] [--stats-json P]\n"
                 "          [--stats-csv P] [--stats-interval N]\n"
@@ -230,7 +199,6 @@ chipConfig(const Options &opts, const std::string &tag)
     cfg.obs = opts.obs;
     cfg.obs.tag = tag;
     cfg.fault = opts.fault;
-    cfg.engine = opts.engine;
     if (const std::string err = cfg.check(); !err.empty()) {
         std::fprintf(stderr, "bad chip configuration: %s\n",
                      err.c_str());
@@ -241,7 +209,7 @@ chipConfig(const Options &opts, const std::string &tag)
 
 /**
  * Emit the per-run manifest if --manifest was given. The config hash
- * covers the bench's base ChipConfig (fault map, engine, sampling);
+ * covers the bench's base ChipConfig (fault map);
  * sweeps that vary structural parameters per point are identified by
  * the bench name instead. Totals of zero are fine for static benches.
  */

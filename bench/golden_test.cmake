@@ -1,21 +1,11 @@
 # CTest script: run one figure benchmark in quick CSV mode and compare
 # its output against the committed golden with check_goldens.py.
-# ENGINE_ARGS (optional) passes extra engine-selection flags, e.g.
-# --engine-sampled for the sampled-timing cross-check.
 get_filename_component(name ${GOLDEN} NAME_WE)
-if(NOT DEFINED ENGINE_ARGS)
-    set(ENGINE_ARGS "")
-endif()
-if(ENGINE_ARGS STREQUAL "")
-    set(out ${WORK_DIR}/${name}.csv)
-else()
-    set(out ${WORK_DIR}/${name}.engine.csv)
-endif()
+set(out ${WORK_DIR}/${name}.csv)
 file(MAKE_DIRECTORY ${WORK_DIR})
 
-separate_arguments(engine_args_list UNIX_COMMAND "${ENGINE_ARGS}")
 execute_process(
-    COMMAND ${BENCH} --quick --csv ${engine_args_list}
+    COMMAND ${BENCH} --quick --csv
     OUTPUT_FILE ${out}
     RESULT_VARIABLE run_rc
     ERROR_VARIABLE run_err)

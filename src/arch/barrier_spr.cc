@@ -35,10 +35,6 @@ BarrierSpr::write(ThreadId tid, u8 value)
 {
     if (tid >= regs_.size())
         panic("BarrierSpr::write from unknown thread %u", tid);
-    if (guard_ && *guard_)
-        panic("BarrierSpr::write(tid=%u) during a sharded phase-A "
-              "window — barrier writes must defer to phase B",
-              tid);
     if (!alive_.empty() && !alive_[tid] && value != 0)
         return;
     const u8 old = regs_[tid];

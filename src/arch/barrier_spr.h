@@ -57,18 +57,6 @@ class BarrierSpr
     /** Read the OR of all registers (what any mfspr returns). */
     u8 read() const { return orValue_; }
 
-    /**
-     * Register a mutation guard for the sharded engine. While
-     * *@p inPhaseA is true (the engine is inside a phase-A worker
-     * window), any write() panics: barrier SPR writes are global
-     * wired-OR mutations and must always be deferred to the serial
-     * phase-B commit. A violation here means a unit's tickLocal()
-     * path mutated shared state instead of deferring — which would
-     * silently break the bit-identical-to-serial guarantee. Pass
-     * nullptr to unregister.
-     */
-    void setMutationGuard(const bool *inPhaseA) { guard_ = inPhaseA; }
-
     /** Raw register of one thread (testing/debug). */
     u8 threadValue(ThreadId tid) const { return regs_[tid]; }
 
@@ -77,7 +65,6 @@ class BarrierSpr
 
     std::vector<u8> regs_;
     std::vector<u8> alive_; ///< empty = all threads alive
-    const bool *guard_ = nullptr; ///< sharded-engine phase-A flag
     u8 orValue_ = 0;
     std::vector<u32> bitCounts_; ///< population count per bit position
 

@@ -122,55 +122,11 @@ Chip::Chip(const ChipConfig &cfg) : cfg_(cfg)
     if (profiling_ || !cfg_.obs.profOut.empty())
         memsys_.enableHeatmap();
 
-    sampledOn_ = cfg_.engine.sampled;
-    if (cfg_.engine.kind == EngineKind::Sharded)
-        setupShardEngine();
-
-    // Host telemetry attaches last: it observes whatever engine was
-    // just built. Its counters live in hostObs_.stats() (not stats_),
-    // so guest statistics output is byte-identical with it on or off.
+    // Host telemetry counters live in hostObs_.stats() (not stats_), so
+    // guest statistics output is byte-identical with it on or off.
     hostObsOn_ = cfg_.obs.hostObs;
-    if (hostObsOn_) {
-        hostObs_.configure(true, shardWorkers_,
-                           tracer_.on(TraceCat::Host));
-        if (crew_) {
-            crewTelem_ = std::make_unique<CrewTelemetry>();
-            crew_->setTelemetry(crewTelem_.get());
-            hostObs_.setCrewTelemetry(crewTelem_.get());
-        }
-    }
-}
-
-void
-Chip::setupShardEngine()
-{
-    u32 w = cfg_.engine.workers ? cfg_.engine.workers
-                                : SimPool::resolveJobs(0);
-    w = std::max(1u, std::min(w, cfg_.numQuads()));
-    shardWorkers_ = w;
-    domainBegin_.resize(w + 1);
-    for (u32 i = 0; i <= w; ++i)
-        domainBegin_[i] = ThreadId(u64(cfg_.numQuads()) * i / w *
-                                   cfg_.threadsPerQuad);
-    domainProgress_.assign(w, 0);
-    canon_.reserve(cfg_.numThreads);
-    wakes_.reserve(cfg_.numThreads);
-    quadDeferAt_.assign(cfg_.numQuads(), kCycleNever);
-    // Debug tripwire: barrier SPR writes are global wired-OR state and
-    // must only happen in phase B. The guard turns a missed defer point
-    // (silent nondeterminism) into an immediate panic.
-    barrier_.setMutationGuard(&inShardPhaseA_);
-    if (w > 1)
-        crew_ = std::make_unique<ShardCrew>(w);
-}
-
-u32
-Chip::shardDomainOf(ThreadId tid) const
-{
-    u32 d = 0;
-    while (d + 1 < shardWorkers_ && tid >= domainBegin_[d + 1])
-        ++d;
-    return d;
+    if (hostObsOn_)
+        hostObs_.configure(tracer_.on(TraceCat::Host));
 }
 
 // --- Functional memory ------------------------------------------------------
@@ -231,19 +187,6 @@ Chip::memWrite(Addr ea, u8 bytes, u64 value, ThreadId tid)
     }
     u8 *ptr = memPtr(ea, bytes, tid);
     std::memcpy(ptr, &value, bytes);
-}
-
-MemTiming
-Chip::remoteDmem(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
-{
-    // Remote accesses mutate fabric state shared between chips, so
-    // they must only run from the serial commit path. Both frontends
-    // defer every memory op out of sharded phase A, making this a
-    // tripwire for missed defer points, not a reachable path.
-    if (inShardPhaseA_)
-        fatal("remote access from shard phase A (thread %u, ea 0x%08x)",
-              tid, ea);
-    return remote_->remoteAccess(chipId_, tid, now, ea, bytes, kind);
 }
 
 void
@@ -379,18 +322,9 @@ Chip::run(Cycle maxCycles)
     const Cycle limit = maxCycles >= kCycleNever - now_
                             ? kCycleNever
                             : now_ + maxCycles;
-    const bool sharded = crew_ != nullptr;
-    const u32 shardGrain = cfg_.engine.shardGrain;
     HostRunTimer hostTimer(hostObsOn_ ? &hostObs_ : nullptr);
 
     while (liveUnits_ > 0) {
-        // Sampled mode: the window is a function of absolute chip time,
-        // so where the detailed windows fall never depends on how run()
-        // calls are sliced. The run starts inside a detailed window
-        // (now_ = 0) to warm the averages before the first fast window.
-        if (sampledOn_)
-            detail_ = now_ % cfg_.engine.samplePeriod <
-                      cfg_.engine.sampleDetail;
         if (sampling_)
             sampler_.maybeSample(now_);
         if (profiling_ && now_ >= profNext_)
@@ -407,7 +341,7 @@ Chip::run(Cycle maxCycles)
                 e.signal = sig;
                 return e;
             }
-            const u64 sum = progressSumEngine();
+            const u64 sum = progressSum();
             if (sum != lastProgressSum_) {
                 lastProgressSum_ = sum;
                 lastProgressCycle_ = now_;
@@ -422,7 +356,7 @@ Chip::run(Cycle maxCycles)
             // point: it reads wall clocks only, so the flush cadence
             // cannot perturb simulated timing.
             if (hostObsOn_)
-                hostObs_.serviceFlush();
+                hostObs_.serviceFlush(now_);
         }
         if (now_ >= limit)
             return {RunExitReason::CycleLimit, now_};
@@ -446,19 +380,13 @@ Chip::run(Cycle maxCycles)
         }
 
         if (due_.empty()) {
-            // Fast-forward to the next scheduled wake-up. Sampled mode
-            // must not skip a window boundary: the detail_ flag is
-            // recomputed at the loop top from the new absolute time.
+            // Fast-forward to the next scheduled wake-up.
             Cycle next = inWheel_ > 0 ? nextWheelEvent() : kCycleNever;
             if (!far_.empty())
                 next = std::min(next, far_.top().first);
             if (next == kCycleNever)
                 panic("cycle engine: %u live units but nothing scheduled",
                       liveUnits_);
-            if (hostObsOn_ && sampledOn_)
-                hostObs_.addSampledSkip(now_, next,
-                                        cfg_.engine.samplePeriod,
-                                        cfg_.engine.sampleDetail);
             cycles_ += next - now_;
             now_ = next;
             continue;
@@ -468,128 +396,27 @@ Chip::run(Cycle maxCycles)
         // shared resources among same-cycle requesters.
         const size_t n = due_.size();
         const size_t start = n > 1 ? size_t(now_ % n) : 0;
-        const bool fanOut = sharded && detail_ && n >= shardGrain;
-        if (fanOut) {
-            tickSharded(n, start);
-        } else {
-            // Serial path: processing the canonical order inline is
-            // the reference semantics the sharded path reproduces.
-            for (size_t i = 0; i < n; ++i) {
-                const ThreadId tid = due_[(start + i) % n];
-                Unit *u = units_[tid].get();
-                finishTick(tid, u, u->tick(now_));
+        for (size_t i = 0; i < n; ++i) {
+            const ThreadId tid = due_[(start + i) % n];
+            Unit *u = units_[tid].get();
+            const Cycle wake = u->tick(now_);
+            if (wake == kCycleNever) {
+                if (!u->halted())
+                    panic("unit %u returned never but is not halted", tid);
+                --liveUnits_;
+                active_[tid] = 0;
+                if (tracer_.on(TraceCat::Sched))
+                    tracer_.instant(TraceCat::Sched, tid, "halt", now_);
+            } else {
+                if (wake <= now_)
+                    panic("unit %u rescheduled into the past", tid);
+                schedule(tid, wake);
             }
-        }
-        if (hostObsOn_) {
-            if (sampledOn_)
-                hostObs_.addSampledCycles(detail_, 1);
-            if (sharded && !fanOut)
-                hostObs_.addSerialFallbackCycles(1);
         }
         ++cycles_;
         ++now_;
     }
     return {RunExitReason::AllHalted, now_};
-}
-
-/**
- * Post-tick bookkeeping for one unit at its canonical position: halt
- * retirement (with the Sched trace event) or rescheduling. Factored
- * out so the serial loop and the sharded phase B share it exactly.
- */
-void
-Chip::finishTick(ThreadId tid, Unit *u, Cycle wake)
-{
-    if (wake == kCycleNever) {
-        if (!u->halted())
-            panic("unit %u returned never but is not halted", tid);
-        --liveUnits_;
-        active_[tid] = 0;
-        if (tracer_.on(TraceCat::Sched))
-            tracer_.instant(TraceCat::Sched, tid, "halt", now_);
-    } else {
-        if (wake <= now_)
-            panic("unit %u rescheduled into the past", tid);
-        schedule(tid, wake);
-    }
-}
-
-/**
- * One sharded cycle (see DESIGN.md section 14). Phase A fans the due
- * units out to the crew: every worker walks the full canonical order,
- * filters to its own tid domain (preserving relative order, which is
- * all quad-local arbitration can observe), and runs the domain-local
- * part of each tick. Ticks needing shared chip state defer without
- * side effects; a defer poisons its quad so later quad-mates keep the
- * serial FPU arbitration order. Phase B then commits, in canonical
- * order on this thread: deferred units run their full tick against the
- * shared fabric, and every unit's halt/reschedule is retired. All
- * shared-state mutation is therefore serial and canonically ordered —
- * results are bit-identical to the serial engine at any worker count.
- */
-void
-Chip::tickSharded(size_t n, size_t start)
-{
-    canon_.resize(n);
-    wakes_.resize(n);
-    for (size_t i = 0; i < n; ++i)
-        canon_[i] = due_[(start + i) % n];
-
-    // Host telemetry brackets whole phases, never individual ticks:
-    // two clock reads around a worker's entire domain walk and two on
-    // the coordinator per cycle. Workers write only their own
-    // cache-line-separated slot; the crew's done-counter acquire gives
-    // the coordinator visibility before any read.
-    const bool ho = hostObsOn_;
-    const u64 t0 = ho ? hostNowNs() : 0;
-    inShardPhaseA_ = true;
-    crew_->run([this, n, ho](u32 w) {
-        const ThreadId lo = domainBegin_[w];
-        const ThreadId hi = domainBegin_[w + 1];
-        const u32 tpq = cfg_.threadsPerQuad;
-        const u64 w0 = ho ? hostNowNs() : 0;
-        u64 ticks = 0, defers = 0, poisons = 0;
-        for (size_t i = 0; i < n; ++i) {
-            const ThreadId tid = canon_[i];
-            if (tid < lo || tid >= hi)
-                continue;
-            const u32 quad = tid / tpq;
-            const bool fpuOk = quadDeferAt_[quad] != now_;
-            const Cycle wake = units_[tid]->tickLocal(now_, fpuOk);
-            wakes_[i] = wake;
-            ++ticks;
-            if (wake == Unit::kTickDeferred) {
-                ++defers;
-                if (fpuOk)
-                    ++poisons;
-                quadDeferAt_[quad] = now_;
-            }
-        }
-        if (ho) {
-            HostObs::WorkerSlot &slot = hostObs_.slot(w);
-            slot.busyNanos += hostNowNs() - w0;
-            slot.ticks += ticks;
-            slot.defers += defers;
-            slot.quadPoisons += poisons;
-        }
-    });
-    inShardPhaseA_ = false;
-    const u64 t1 = ho ? hostNowNs() : 0;
-
-    u64 deferredCommits = 0;
-    for (size_t i = 0; i < n; ++i) {
-        const ThreadId tid = canon_[i];
-        Unit *u = units_[tid].get();
-        Cycle wake = wakes_[i];
-        if (wake == Unit::kTickDeferred) {
-            wake = u->tick(now_);
-            ++deferredCommits;
-        }
-        finishTick(tid, u, wake);
-    }
-    if (ho)
-        hostObs_.addShardedCycle(t1 - t0, hostNowNs() - t1, n,
-                                 deferredCommits);
 }
 
 // Take the PC samples due at or before now_. The cycle engine only
@@ -794,33 +621,6 @@ Chip::progressSum() const
     return sum;
 }
 
-/**
- * Engine-aware progressSum(): under the sharded engine each domain's
- * worker aggregates its own units' progress counters and publishes one
- * per-domain total at the epoch boundary; the coordinator sums only
- * those aggregates. Unit counters are thus only ever read by the host
- * thread that also writes them — no cross-thread counter reads — and
- * the total is exactly progressSum() because the domains partition the
- * tid space.
- */
-u64
-Chip::progressSumEngine()
-{
-    if (!crew_)
-        return progressSum();
-    crew_->run([this](u32 w) {
-        u64 sum = 0;
-        for (ThreadId t = domainBegin_[w]; t < domainBegin_[w + 1]; ++t)
-            if (units_[t])
-                sum += units_[t]->progressEvents();
-        domainProgress_[w] = sum;
-    });
-    u64 total = 0;
-    for (const u64 v : domainProgress_)
-        total += v;
-    return total;
-}
-
 std::string
 Chip::watchdogDump() const
 {
@@ -931,7 +731,7 @@ Chip::writeObservability()
     if (!obs.traceOut.empty())
         tracer_.writeChromeJson(obs.expandPath(obs.traceOut),
                                 cfg_.numThreads,
-                                hostObsOn_ ? hostObs_.traceExport()
+                                hostObsOn_ ? hostObs_.traceExport(now_)
                                            : nullptr);
     if (!obs.statsJson.empty()) {
         const std::string path = obs.expandPath(obs.statsJson);

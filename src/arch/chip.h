@@ -29,7 +29,6 @@
 #include "common/config.h"
 #include "common/hostobs.h"
 #include "common/metrics.h"
-#include "common/parallel.h"
 #include "common/stats.h"
 #include "common/trace.h"
 #include "isa/encoding.h"
@@ -161,20 +160,8 @@ class Chip
     /** Host-simulator telemetry (enabled by ChipConfig::obs.hostObs). */
     const HostObs &hostObs() const { return hostObs_; }
 
-    /** Value snapshot of the host telemetry (crew waits folded in). */
+    /** Value snapshot of the host telemetry. */
     HostObsSnapshot hostObsSnapshot() const { return hostObs_.snapshot(); }
-
-    /**
-     * Record per-domain guest placement (called by the exec engine
-     * after spawning) so host telemetry can relate shard imbalance to
-     * how many software threads each worker domain hosts. No-op when
-     * host observability is off.
-     */
-    void
-    noteShardOccupancy(const std::vector<u64> &counts)
-    {
-        hostObs_.setDomainGuests(counts);
-    }
 
     /**
      * Cycle attribution of one TU: every cycle between the unit's
@@ -264,16 +251,6 @@ class Chip
     /** Number of activated, not-yet-halted units. */
     u32 liveUnits() const { return liveUnits_; }
 
-    /** Resolved sharded-engine worker count (0 with the serial engine). */
-    u32 shardWorkers() const { return shardWorkers_; }
-
-    /**
-     * Worker domain owning @p tid under the sharded engine. Domains are
-     * contiguous quad-aligned tid ranges, so this is a plain division
-     * of the quad split; only meaningful when shardWorkers() > 0.
-     */
-    u32 shardDomainOf(ThreadId tid) const;
-
     // --- Shared hardware reachable from units ---------------------------------
 
     MemSystem &memsys() { return memsys_; }
@@ -287,47 +264,17 @@ class Chip
     }
 
     /**
-     * True while the engine simulates timing in full detail. Always
-     * true unless EngineConfig::sampled put the chip in a functional
-     * fast-forward window (see DESIGN.md section 14).
-     */
-    bool timingDetail() const { return detail_; }
-
-    /**
-     * One data-memory timing access, routed to the detailed fabric or
-     * the sampled fast path depending on the current engine window.
+     * One data-memory timing access: remote-window addresses go to the
+     * multi-chip fabric, everything else to the local memory system.
      * Units call this instead of memsys().access() directly.
      */
     MemTiming
     dmem(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
     {
         if (remote_ && isRemoteEa(ea)) [[unlikely]]
-            return remoteDmem(now, tid, ea, bytes, kind);
-        if (detail_)
-            return memsys_.access(now, tid, ea, bytes, kind);
-        if (hostObsOn_)
-            hostObs_.countWarmAccess();
-        return memsys_.accessSampled(now, tid, ea, bytes, kind);
-    }
-
-    /** PIB refill counterpart of dmem(): detailed or sampled I-cache. */
-    Cycle
-    icacheRefill(Cycle now, ThreadId tid, PhysAddr base, u32 *missesOut)
-    {
-        ICache &ic = icacheOf(tid);
-        if (detail_)
-            return ic.refill(now, base, memsys_,
-                             tid / cfg_.threadsPerQuad, missesOut);
-        return ic.refillSampled(now, base, missesOut);
-    }
-
-    /** True if decodedAt(pc) would succeed (no-throw probe). */
-    bool
-    pcDecodable(PhysAddr pc) const
-    {
-        return pc >= program_.textBase &&
-               pc < program_.textBase + program_.textBytes() &&
-               pc % 4 == 0;
+            return remote_->remoteAccess(chipId_, tid, now, ea, bytes,
+                                         kind);
+        return memsys_.access(now, tid, ea, bytes, kind);
     }
 
     /** Value of special purpose register @p spr as read by @p tid. */
@@ -392,20 +339,12 @@ class Chip
     void schedule(ThreadId tid, Cycle when);
     Cycle nextWheelEvent() const;
     u8 *memPtr(Addr ea, u8 bytes, ThreadId tid);
-    MemTiming remoteDmem(Cycle now, ThreadId tid, Addr ea, u8 bytes,
-                         MemKind kind);
 
     void samplePcs();
     void applyFaultMap();
     void recomputeAlive();
     u64 progressSum() const;
-    u64 progressSumEngine();
     std::string watchdogDump() const;
-
-    // Sharded engine (see DESIGN.md section 14).
-    void setupShardEngine();
-    void finishTick(ThreadId tid, Unit *u, Cycle wake);
-    void tickSharded(size_t n, size_t start);
 
     ChipConfig cfg_;
     StatGroup stats_;
@@ -463,29 +402,9 @@ class Chip
 
     std::string console_;
 
-    // Host-simulator telemetry (ChipConfig::obs.hostObs). crewTelem_
-    // collects spin-wait times inside ShardCrew, so it must be
-    // declared before crew_: the crew's worker threads read it until
-    // the ShardCrew destructor joins them.
+    // Host-simulator telemetry (ChipConfig::obs.hostObs).
     HostObs hostObs_;
     bool hostObsOn_ = false;
-    std::unique_ptr<CrewTelemetry> crewTelem_;
-
-    // Sharded engine state (empty/idle for the serial engine). Domains
-    // are contiguous quad-aligned tid ranges; worker w owns tids in
-    // [domainBegin_[w], domainBegin_[w+1]).
-    std::unique_ptr<ShardCrew> crew_;
-    u32 shardWorkers_ = 0;
-    std::vector<ThreadId> domainBegin_;
-    std::vector<u64> domainProgress_; ///< per-domain watchdog aggregate
-    std::vector<ThreadId> canon_;     ///< canonical service order, per cycle
-    std::vector<Cycle> wakes_;        ///< phase-A results per canon_ slot
-    std::vector<Cycle> quadDeferAt_;  ///< cycle a quad last saw a defer
-    bool inShardPhaseA_ = false;      ///< BarrierSpr mutation-guard flag
-
-    // Sampled fast-forward mode (EngineConfig::sampled).
-    bool sampledOn_ = false;
-    bool detail_ = true;
 
     // Multi-chip remote-window port (null on standalone chips).
     RemotePort *remote_ = nullptr;

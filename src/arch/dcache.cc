@@ -238,98 +238,6 @@ DCache::access(const CacheAccess &req, MemSystem &fabric)
                        portWait + (start - grant) + (bg.start - bankReq)};
 }
 
-bool
-DCache::warmAccess(PhysAddr addr, u8 bytes, bool store, bool atomic,
-                   Cycle now, u32 *fillBlocksOut, u32 *wbBlocksOut,
-                   PhysAddr *wbLineOut, Cycle *fillWaitOut)
-{
-    const u32 blockBytes = cfg_->memBlockBytes;
-    const u32 blocksPerLine = cfg_->dcacheLineBytes / blockBytes;
-    const u32 line = addr / cfg_->dcacheLineBytes;
-    const u32 set = line & (numSets_ - 1);
-    const u32 byteOff = addr & (cfg_->dcacheLineBytes - 1);
-    const u64 reqMask = bytes >= 64 ? ~u64(0)
-                                    : ((u64(1) << bytes) - 1) << byteOff;
-    *fillBlocksOut = 0;
-    *wbBlocksOut = 0;
-    *fillWaitOut = 0;
-
-    if (Line *hitLine = lookup(addr)) {
-        hitLine->lastUse = now;
-        const bool filling = hitLine->fillDone > now;
-        const bool bytesThere = (hitLine->validMask & reqMask) == reqMask;
-        if (filling) {
-            *fillWaitOut = hitLine->fillDone;
-            ++loadMerges_;
-        }
-        if (store && !atomic) {
-            // Stores only need the tag; bytes become valid and dirty.
-            hitLine->validMask |= reqMask;
-            hitLine->dirtyMask |= reqMask;
-            ++hits_;
-            return true;
-        }
-        if (bytesThere || filling) {
-            // Plain hit, or merge with the fill in flight.
-            if (atomic) {
-                hitLine->validMask |= reqMask;
-                hitLine->dirtyMask |= reqMask;
-            }
-            ++hits_;
-            return true;
-        }
-        // Allocate-no-fetch residue: the fetch-and-merge miss.
-        hitLine->validMask = fullMask_;
-        if (atomic)
-            hitLine->dirtyMask |= reqMask;
-        hitLine->fillDone = now;
-        ++misses_;
-        *fillBlocksOut = blocksPerLine;
-        return false;
-    }
-
-    // Miss: install the line. The victim's dirty blocks still count as
-    // bank traffic (for the regulator) even though no write is posted.
-    Line &way = victim(set, now);
-    if (way.valid && way.dirtyMask) {
-        u32 dirtyBlocks = 0;
-        for (u32 block = 0; block < blocksPerLine; ++block) {
-            const u64 blockMask = ((u64(1) << blockBytes) - 1)
-                                  << (block * blockBytes);
-            if (way.dirtyMask & blockMask)
-                ++dirtyBlocks;
-        }
-        *wbBlocksOut = dirtyBlocks;
-        *wbLineOut = lineAddrOf(way, set);
-        ++writebacks_;
-        wbBlocks_ += dirtyBlocks;
-        way.dirtyMask = 0;
-    }
-    way.valid = true;
-    way.tag = line / numSets_;
-    way.lastUse = now;
-    way.fillDone = now;
-    if (store && !atomic && cfg_->storeAllocNoFetch) {
-        way.validMask = reqMask;
-        way.dirtyMask = reqMask;
-        ++misses_;
-        ++storeAllocs_;
-        return false;
-    }
-    way.validMask = fullMask_;
-    way.dirtyMask = store ? reqMask : 0;
-    *fillBlocksOut = blocksPerLine;
-    ++misses_;
-    return false;
-}
-
-void
-DCache::setWarmFillDone(PhysAddr addr, Cycle done)
-{
-    if (Line *line = lookup(addr))
-        line->fillDone = std::max(line->fillDone, done);
-}
-
 Cycle
 DCache::flushLine(PhysAddr addr, Cycle arrive, MemSystem &fabric)
 {

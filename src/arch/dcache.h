@@ -62,28 +62,6 @@ class DCache
     /** Perform one access; @p fabric provides bank service for fills. */
     CacheResult access(const CacheAccess &req, MemSystem &fabric);
 
-    /**
-     * Functional warming for sampled fast-forward windows: updates
-     * tags, LRU and per-byte masks exactly like access() would, but
-     * touches no timing state (port, MSHRs, banks) and posts no
-     * writebacks. Returns the hit outcome; @p fillBlocksOut and
-     * @p wbBlocksOut (never null) receive the 32-byte blocks of bank
-     * traffic the access implies — the line fill of a fetching miss,
-     * and the dirty blocks of the displaced victim, whose line address
-     * lands in @p wbLineOut — for the fabric's bank regulators.
-     * @p fillWaitOut receives the in-flight fill completion a hit must
-     * wait for (0 otherwise), mirroring the detailed MSHR merge; on a
-     * fetching miss the caller computes the fill time and posts it
-     * back via setWarmFillDone(), so later accesses to the line merge
-     * against it exactly as in detailed mode.
-     */
-    bool warmAccess(PhysAddr addr, u8 bytes, bool store, bool atomic,
-                    Cycle now, u32 *fillBlocksOut, u32 *wbBlocksOut,
-                    PhysAddr *wbLineOut, Cycle *fillWaitOut);
-
-    /** Record the virtual fill time of the line warmAccess installed. */
-    void setWarmFillDone(PhysAddr addr, Cycle done);
-
     /** dcbf: write back (if dirty) and invalidate the line, if present. */
     Cycle flushLine(PhysAddr addr, Cycle arrive, MemSystem &fabric);
 

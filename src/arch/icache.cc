@@ -82,29 +82,4 @@ ICache::refill(Cycle now, PhysAddr addr, MemSystem &fabric, u32 quad,
     return ready;
 }
 
-Cycle
-ICache::refillSampled(Cycle now, PhysAddr addr, u32 *missesOut)
-{
-    const u32 windowBytes = cfg_->pibEntries * 4;
-    const u32 blocks = cfg_->icacheLineBytes / cfg_->memBlockBytes;
-    Cycle ready = now + cfg_->lat.icacheHitRefill;
-    u32 lineMisses = 0;
-    for (PhysAddr lineAddr = PhysAddr(roundDown(addr, cfg_->icacheLineBytes));
-         lineAddr < addr + windowBytes;
-         lineAddr += cfg_->icacheLineBytes) {
-        if (lookupInsert(lineAddr, now)) {
-            ++hits_;
-            continue;
-        }
-        ++misses_;
-        ++lineMisses;
-        ready = std::max(ready, now + cfg_->lat.missToBank +
-                                    blocks * cfg_->lat.bankBlockCycles +
-                                    cfg_->lat.bankToCache);
-    }
-    if (missesOut)
-        *missesOut = lineMisses;
-    return ready;
-}
-
 } // namespace cyclops::arch

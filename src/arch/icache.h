@@ -39,13 +39,6 @@ class ICache
     Cycle refill(Cycle now, PhysAddr addr, MemSystem &fabric, u32 quad,
                  u32 *missesOut = nullptr);
 
-    /**
-     * Sampled-mode refill: warms the tag array like refill() but leaves
-     * the port and banks untouched and charges uncontended latencies
-     * (see MemSystem::accessSampled).
-     */
-    Cycle refillSampled(Cycle now, PhysAddr addr, u32 *missesOut = nullptr);
-
     u64 hits() const { return hits_.value(); }
     u64 misses() const { return misses_.value(); }
 

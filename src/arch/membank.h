@@ -59,12 +59,9 @@ class MemBank
     /** Requester cycles spent queued behind a busy bank. */
     u64 queueCycles() const { return queueCycles_.value(); }
 
-    // Open-row geometry, shared with the sampled-mode bank shadow
-    // (MemSystem::sampReserve) so both models burst identically.
+  private:
     static constexpr PhysAddr kRowBytes = 1024; ///< open-row granularity
     static constexpr Cycle kRowOpenWindow = 8;  ///< idle cycles row stays open
-
-  private:
 
     const ChipConfig *cfg_ = nullptr;
     Cycle busyUntil_ = 0;

@@ -24,8 +24,6 @@ MemSystem::init(const ChipConfig &cfg, StatGroup *stats, Tracer *tracer)
     }
     cacheMask_ = cfg.numCaches() >= 32 ? ~0u
                                        : (1u << cfg.numCaches()) - 1;
-    sampPort_.assign(cfg.numCaches(), 0);
-    sampBank_.assign(cfg.numBanks, SampBank{});
     lineShift_ = log2i(cfg.dcacheLineBytes);
     updateBankGeometry();
     rebuildRouteLut();
@@ -279,185 +277,6 @@ MemSystem::access(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
     }
 
     return MemTiming{ready, target, remote, res.hit, res.queueWait};
-}
-
-BankGrant
-MemSystem::sampReserve(Cycle req, u32 blocks, PhysAddr lineAddr,
-                       CacheId requester)
-{
-    // MemBank::reserve, replayed against the virtual shadow: same
-    // queueing, occupancy and open-row burst rules, but the real bank
-    // keeps its own state for the next detailed window.
-    const auto [bankId, bankAddr] = routeInfo(lineAddr);
-    SampBank &bank = sampBank_[bankId];
-
-    const Cycle start = std::max(req, bank.free);
-    const PhysAddr row = bankAddr & ~(MemBank::kRowBytes - 1);
-    const bool rowHit = cfg_->burstEnabled && row == bank.lastRow &&
-                        bankAddr == bank.nextBlockAddr &&
-                        start <= bank.free + MemBank::kRowOpenWindow;
-
-    const u32 occupancy = blocks * cfg_->lat.bankBlockCycles;
-    const u32 transfer =
-        rowHit ? blocks * cfg_->lat.bankBurstBlockCycles : occupancy;
-
-    bank.free = start + occupancy;
-    bank.lastRow = row;
-    bank.nextBlockAddr = bankAddr + blocks * cfg_->memBlockBytes;
-
-    if (heatOn_) {
-        const size_t idx = size_t(requester) * cfg_->numBanks + bankId;
-        ++heatAccess_[idx];
-        if (start > req)
-            ++heatConflict_[idx];
-    }
-    return BankGrant{start, transfer};
-}
-
-Cycle
-MemSystem::uncontendedLat(MemKind kind, bool remote, bool hit) const
-{
-    const LatencyConfig &lat = cfg_->lat;
-    // Allocate-no-fetch store misses complete at hit latency.
-    if (kind == MemKind::Store && !hit && cfg_->storeAllocNoFetch)
-        hit = true;
-    Cycle base;
-    if (remote)
-        base = hit ? lat.memRemoteHit : lat.memRemoteMiss;
-    else
-        base = hit ? lat.memLocalHit : lat.memLocalMiss;
-    if (kind == MemKind::Atomic)
-        base += lat.atomicExtra;
-    return base;
-}
-
-MemTiming
-MemSystem::accessSampled(Cycle now, ThreadId tid, Addr ea, u8 bytes,
-                         MemKind kind)
-{
-    // Routing, validation, counters and trace events mirror access();
-    // only the timing model differs (virtual port and bank clocks
-    // instead of the real port/MSHR/bank state — see the header).
-    const RouteEntry &entry = routeLut_[igField(ea)];
-    const PhysAddr pa = igPhys(ea);
-    const bool scratch = entry.cls == IgClass::Scratch;
-
-    if (bytes == 0 || bytes > 8 || !isPow2(bytes))
-        panic("memory access of %u bytes", bytes);
-    if (pa % bytes != 0)
-        guestCheck("misaligned %u-byte access at 0x%08x by thread %u",
-                   bytes, ea, tid);
-    if (!scratch && pa + bytes > availableMemBytes())
-        guestCrash("physical address 0x%06x beyond available memory "
-                   "(%u KB) — thread %u", pa,
-                   availableMemBytes() / 1024, tid);
-    if (scratch) {
-        const CacheId sc = entry.index & (cfg_->numCaches() - 1);
-        if (!cacheEnabled(sc))
-            guestCheck("scratchpad access to disabled cache %u "
-                       "(thread %u)", sc, tid);
-    }
-
-    const CacheId target = routeCacheEntry(entry, ea, tid);
-    const CacheId local = localCacheOf(tid);
-    const bool remote = target != local;
-
-    bool hit = true;
-    u32 fillBlocks = 0;
-    u32 wbBlocks = 0;
-    PhysAddr wbLine = 0;
-    Cycle fillWait = 0;
-    if (!scratch)
-        hit = caches_[target].warmAccess(
-            pa, bytes, kind == MemKind::Store || kind == MemKind::Atomic,
-            kind == MemKind::Atomic, now, &fillBlocks, &wbBlocks,
-            &wbLine, &fillWait);
-
-    // Port regulator: the target cache still moves one access per
-    // cycle, so hot-spot layouts (Own/One-group traffic focused on a
-    // few caches) stay port-limited exactly as in detailed mode.
-    const Cycle arrive = now + (remote ? cfg_->lat.remoteReqHop : 0);
-    Cycle &port = sampPort_[target];
-    const Cycle grant = std::max(arrive, port);
-    port = grant + 1;
-
-    if (wbBlocks != 0) {
-        // The victim's writeback is posted before the fill request, as
-        // in detailed mode — victim and fill share a set and therefore
-        // usually a bank, so the fill queues behind it.
-        sampReserve(grant, wbBlocks, wbLine, target);
-    }
-    Cycle ready;
-    if (fillBlocks == 0) {
-        // Hit, scratch window, or allocate-no-fetch store; a hit on a
-        // line mid-fill merges with the fill (detailed MSHR merge).
-        ready = std::max(grant + cfg_->lat.memLocalHit, fillWait);
-    } else {
-        // Bank regulator: the fill queues on the virtual shadow of the
-        // bank the line actually lives in, so per-bank hot spots, the
-        // aggregate bandwidth ceiling and streaming bursts all bind as
-        // in detailed mode.
-        const PhysAddr lineAddr =
-            pa & ~PhysAddr(cfg_->dcacheLineBytes - 1);
-        const Cycle bankReq = grant + cfg_->lat.missToBank;
-        const BankGrant bg =
-            sampReserve(bankReq, fillBlocks, lineAddr, target);
-        const Cycle fillDone = bg.start + bg.transferCycles;
-        ready = fillDone + cfg_->lat.bankToCache;
-        // Later accesses to this line merge against the fill.
-        caches_[target].setWarmFillDone(pa, fillDone);
-    }
-    if (remote) {
-        ready += cfg_->lat.remoteRespHop;
-        if (!hit)
-            ready += cfg_->lat.remoteMissExtra;
-    }
-    if (kind == MemKind::Atomic)
-        ready += cfg_->lat.atomicExtra;
-
-    const Cycle span = ready - now;
-    const Cycle uncont = uncontendedLat(kind, remote, hit);
-    const u64 queueWait = span > uncont ? span - uncont : 0;
-
-    switch (kind) {
-      case MemKind::Load:
-      case MemKind::Prefetch:
-        ++loads_;
-        loadLatency_.sample(span);
-        break;
-      case MemKind::Store:
-        ++stores_;
-        break;
-      case MemKind::Atomic:
-        ++atomics_;
-        break;
-    }
-    if (scratch) {
-        ++scratchOps_;
-    } else if (hit) {
-        remote ? ++remoteHits_ : ++localHits_;
-    } else {
-        remote ? ++remoteMisses_ : ++localMisses_;
-    }
-    if (heatOn_) {
-        const u32 cls = static_cast<u8>(entry.cls);
-        ++igAccess_[cls];
-        if (!scratch)
-            hit ? ++igHit_[cls] : ++igMiss_[cls];
-    }
-
-    if (tracer_ && tracer_->enabled()) {
-        static const char *const kKindNames[] = {"load", "store", "atomic",
-                                                 "prefetch"};
-        tracer_->complete(TraceCat::Mem, tid,
-                          kKindNames[static_cast<u8>(kind)], now, span, ea);
-        if (!hit && !scratch)
-            tracer_->complete(TraceCat::Cache, tid,
-                              remote ? "remoteMiss" : "localMiss", now,
-                              span, ea);
-    }
-
-    return MemTiming{ready, target, remote, hit, queueWait};
 }
 
 Cycle

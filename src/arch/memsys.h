@@ -69,21 +69,6 @@ class MemSystem
     MemTiming access(Cycle now, ThreadId tid, Addr ea, u8 bytes,
                      MemKind kind);
 
-    /**
-     * Sampled-mode counterpart of access() for the engine's functional
-     * fast-forward windows (see DESIGN.md section 14): identical
-     * routing, validation, counters and trace events, but instead of
-     * the detailed port/MSHR/bank machinery it warms the target
-     * cache's tags functionally and regulates timing with virtual
-     * shadows of the cache port (one access per cycle) and of each
-     * bank's service clock (bankBlockCycles per 32-byte block), so
-     * hot-spot layouts and the aggregate bandwidth ceiling both bind
-     * as in detailed mode. The real port/MSHR/bank state is left
-     * untouched for the next detailed window.
-     */
-    MemTiming accessSampled(Cycle now, ThreadId tid, Addr ea, u8 bytes,
-                            MemKind kind);
-
     /** dcbf: flush the addressed line from its interest-group cache. */
     Cycle flush(Cycle now, ThreadId tid, Addr ea);
 
@@ -199,14 +184,6 @@ class MemSystem
     void noteBank(CacheId requester, const BankRoute &r, Cycle req,
                   const BankGrant &grant);
 
-    // --- Sampled-mode latency model -------------------------------------
-    Cycle uncontendedLat(MemKind kind, bool remote, bool hit) const;
-
-    /** MemBank::reserve against the virtual bank shadow (see below). */
-    BankGrant sampReserve(Cycle req, u32 blocks, PhysAddr lineAddr,
-                          CacheId requester);
-
-
     CacheId routeCacheEntry(const RouteEntry &entry, Addr ea,
                             ThreadId tid) const;
     void rebuildRouteLut();
@@ -237,19 +214,6 @@ class MemSystem
     u64 igAccess_[kNumIgClasses] = {};
     u64 igHit_[kNumIgClasses] = {};
     u64 igMiss_[kNumIgClasses] = {};
-
-    // Sampled-mode regulators: virtual shadows of the per-cache port
-    // (one access per cycle) and of each bank's queue and open-row
-    // burst state, advanced by fast-window traffic without touching
-    // the real port/bank state the next detailed window resumes from.
-    struct SampBank
-    {
-        Cycle free = 0;
-        PhysAddr lastRow = ~PhysAddr(0);
-        PhysAddr nextBlockAddr = ~PhysAddr(0);
-    };
-    std::vector<Cycle> sampPort_;
-    std::vector<SampBank> sampBank_;
 
     Counter loads_;
     Counter stores_;

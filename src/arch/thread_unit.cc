@@ -79,7 +79,7 @@ ThreadUnit::hazardsClearAt(const Instr &instr) const
 }
 
 Cycle
-ThreadUnit::tickImpl(Cycle now, bool localOnly, bool fpuOk)
+ThreadUnit::tick(Cycle now)
 {
     if (halted_)
         return kCycleNever;
@@ -87,11 +87,10 @@ ThreadUnit::tickImpl(Cycle now, bool localOnly, bool fpuOk)
     // Instruction supply: the PIB must hold the current PC. Refills go
     // through the shared I-cache (two quads) and the memory fabric.
     if (!pib_.contains(pc_)) {
-        if (localOnly)
-            return kTickDeferred;
         u32 lineMisses = 0;
-        const Cycle ready = chip_.icacheRefill(
-            now, tid_, pib_.windowBase(pc_), &lineMisses);
+        const Cycle ready = chip_.icacheOf(tid_).refill(
+            now, pib_.windowBase(pc_), chip_.memsys(),
+            tid_ / chip_.config().threadsPerQuad, &lineMisses);
         noteImiss(lineMisses);
         pib_.load(pc_);
         const Cycle wake = std::max(ready, now + 1);
@@ -102,11 +101,6 @@ ThreadUnit::tickImpl(Cycle now, bool localOnly, bool fpuOk)
                         wake - now, pc_);
         return wake;
     }
-
-    // A wild PC raises GuestError from decodedAt(); defer so the throw
-    // happens serially at this unit's canonical position.
-    if (localOnly && !chip_.pcDecodable(pc_))
-        return kTickDeferred;
 
     const Instr &instr = chip_.decodedAt(pc_);
 
@@ -123,12 +117,11 @@ ThreadUnit::tickImpl(Cycle now, bool localOnly, bool fpuOk)
         return hazard.at;
     }
 
-    return issue(now, instr, localOnly, fpuOk);
+    return issue(now, instr);
 }
 
 Cycle
-ThreadUnit::issue(Cycle now, const Instr &instr, bool localOnly,
-                  bool fpuOk)
+ThreadUnit::issue(Cycle now, const Instr &instr)
 {
     const ChipConfig &cfg = chip_.config();
     const LatencyConfig &lat = cfg.lat;
@@ -255,8 +248,6 @@ ThreadUnit::issue(Cycle now, const Instr &instr, bool localOnly,
                                               : CycleCat::DcacheMiss);
             return wake;
         }
-        if (localOnly)
-            return kTickDeferred; // fabric access commits in phase B
         // Atomics address through ra alone (rb is the operand); the
         // indexed loads/stores (lwx/ldx/...) add ra + rb.
         const bool indexed =
@@ -338,8 +329,6 @@ ThreadUnit::issue(Cycle now, const Instr &instr, bool localOnly,
       case UnitClass::FpDiv:
       case UnitClass::FpSqrt:
       case UnitClass::Fma: {
-        if (localOnly && !fpuOk)
-            return kTickDeferred; // quad FPU order pinned to phase B
         FpuOp port;
         switch (m.unit) {
           case UnitClass::FpAdd: port = FpuOp::Add; break;
@@ -425,12 +414,6 @@ ThreadUnit::issue(Cycle now, const Instr &instr, bool localOnly,
 
       case UnitClass::Spr: {
         if (instr.op == Opcode::Mfspr) {
-            // The barrier SPR is the wired-OR: reads must be ordered
-            // against same-cycle writes from other domains. Everything
-            // else readSpr() serves is frozen for the cycle (clock,
-            // geometry) or owned by this unit (its counter SPRs).
-            if (localOnly && u32(imm) == isa::kSprBarrier)
-                return kTickDeferred;
             const u32 sprValue = chip_.readSpr(tid_, u32(imm));
             // SPRs live in their own poll namespace, above the 32-bit
             // effective-address space. Barrier spins re-read the same
@@ -443,8 +426,6 @@ ThreadUnit::issue(Cycle now, const Instr &instr, bool localOnly,
                         u32(imm) == isa::kSprBarrier ? CycleCat::BarrierWait
                                                      : CycleCat::FpuArb);
         } else {
-            if (localOnly)
-                return kTickDeferred; // SPR writes hit shared chip state
             noteProgress();
             chip_.writeSpr(tid_, u32(imm), regs_[ra]);
             if (u32(imm) == isa::kSprBarrier) {
@@ -483,8 +464,6 @@ ThreadUnit::issue(Cycle now, const Instr &instr, bool localOnly,
                                               : CycleCat::DcacheMiss);
             return wake;
         }
-        if (localOnly)
-            return kTickDeferred; // fabric access commits in phase B
         const Addr ea = regs_[ra] + u32(imm);
         Cycle done;
         switch (instr.op) {
@@ -522,8 +501,6 @@ ThreadUnit::issue(Cycle now, const Instr &instr, bool localOnly,
                 accountIssue(now, 1);
                 return kCycleNever;
             }
-            if (localOnly)
-                return kTickDeferred; // traps write the shared console
             chip_.trap(tid_, u32(imm), regs_[4]);
         }
         noteProgress();

@@ -36,13 +36,7 @@ class ThreadUnit : public Unit
      */
     ThreadUnit(ThreadId tid, Chip &chip, PhysAddr entry);
 
-    Cycle tick(Cycle now) override { return tickImpl(now, false, true); }
-
-    Cycle
-    tickLocal(Cycle now, bool fpuOk) override
-    {
-        return tickImpl(now, true, fpuOk);
-    }
+    Cycle tick(Cycle now) override;
 
     /** Architectural register read (r0 is always zero). */
     u32 reg(unsigned index) const { return regs_[index]; }
@@ -73,18 +67,8 @@ class ThreadUnit : public Unit
         unsigned reg = 0;
     };
 
-    /**
-     * tick() body shared with tickLocal(). With @p localOnly set, any
-     * path that would touch shared chip state (memory fabric, I-cache,
-     * barrier SPRs, traps) — or the quad FPU when @p fpuOk is false —
-     * returns kTickDeferred with no observable state change instead of
-     * executing.
-     */
-    Cycle tickImpl(Cycle now, bool localOnly, bool fpuOk);
-
     /** Issue one instruction; returns the next cycle to run. */
-    Cycle issue(Cycle now, const isa::Instr &instr, bool localOnly,
-                bool fpuOk);
+    Cycle issue(Cycle now, const isa::Instr &instr);
 
     /** Latest-clearing register hazard of @p instr (sources + WAW). */
     Hazard hazardsClearAt(const isa::Instr &instr) const;

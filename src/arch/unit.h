@@ -95,34 +95,6 @@ class Unit
      */
     virtual Cycle tick(Cycle now) = 0;
 
-    /**
-     * tickLocal() returns this when the tick would touch shared chip
-     * state and must instead run as a full tick() in canonical order.
-     */
-    static constexpr Cycle kTickDeferred = kCycleNever - 1;
-
-    /**
-     * Domain-local attempt at tick(), for the sharded engine's phase A
-     * (see DESIGN.md section 14). Either perform *exactly* what
-     * tick(now) would — touching only this unit and its quad-local
-     * resources — and return the same wake cycle, or return
-     * kTickDeferred having made no observable state change (pruning
-     * completed entries from the outstanding-memory set is allowed: it
-     * is idempotent and unobservable). The default defers everything,
-     * which is always correct.
-     *
-     * @p fpuOk false means a canonically-earlier quad-mate deferred
-     * this cycle and may still dispatch the shared FPU in phase B, so
-     * a tick that would dispatch the FPU must defer to preserve the
-     * serial arbitration order; everything else may proceed.
-     */
-    virtual Cycle tickLocal(Cycle now, bool fpuOk)
-    {
-        (void)now;
-        (void)fpuOk;
-        return kTickDeferred;
-    }
-
     /** True once the unit has executed its halt. */
     bool halted() const { return halted_; }
 
@@ -347,8 +319,8 @@ class OutstandingMem
         bool fabric;
     };
 
-    // First-min / first-max: a deterministic tie-break so attribution
-    // is identical across engines when completion times collide.
+    // First-min / first-max: a deterministic tie-break for attribution
+    // when completion times collide.
     const Entry &
     minEntry() const
     {

@@ -1,7 +1,6 @@
 #include "common/config.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/bitops.h"
 #include "common/log.h"
@@ -170,47 +169,7 @@ ChipConfig::check() const
                              fault.cacheWays,
                              dcacheAssoc - dcacheScratchWays);
     }
-
-    // --- Engine -------------------------------------------------------
-    if (engine.workers > 256)
-        return strprintf("engine.workers (%u) is absurd; max 256",
-                         engine.workers);
-    if (engine.shardGrain == 0)
-        return "engine.shardGrain must be nonzero";
-    if (engine.sampled) {
-        if (engine.samplePeriod == 0)
-            return "engine.samplePeriod must be nonzero when sampling";
-        if (engine.sampleDetail == 0 ||
-            engine.sampleDetail > engine.samplePeriod)
-            return strprintf("engine.sampleDetail (%u) must be in "
-                             "[1, samplePeriod=%u]", engine.sampleDetail,
-                             engine.samplePeriod);
-    }
     return "";
-}
-
-const char *
-engineKindName(EngineKind kind)
-{
-    switch (kind) {
-    case EngineKind::Serial: return "serial";
-    case EngineKind::Sharded: return "sharded";
-    }
-    return "?";
-}
-
-bool
-parseEngineKind(const char *name, EngineKind *out)
-{
-    if (std::strcmp(name, "serial") == 0) {
-        *out = EngineKind::Serial;
-        return true;
-    }
-    if (std::strcmp(name, "sharded") == 0) {
-        *out = EngineKind::Sharded;
-        return true;
-    }
-    return false;
 }
 
 void
@@ -276,9 +235,6 @@ ChipConfig::describe() const
     appendIds(&d, "fBanks", fault.disabledBanks);
     if (fault.cacheWays != 0)
         d += strprintf("fWays=%u;", fault.cacheWays);
-    if (engine.sampled)
-        d += strprintf("sampled=%u,%u;", engine.samplePeriod,
-                       engine.sampleDetail);
     return d;
 }
 

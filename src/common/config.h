@@ -94,8 +94,8 @@ struct ObsConfig
     u32 traceCapacity = 65536; ///< ring-buffer capacity in events
     u32 profInterval = 0;      ///< PC-sample period in cycles (0 = off)
     bool hostObs = false;      ///< host-simulator telemetry
-                               ///< (common/hostobs.h): engine wall-time
-                               ///< split, crew wait times, RSS gauges
+                               ///< (common/hostobs.h): run wall time,
+                               ///< RSS gauges
     std::string traceOut;      ///< Chrome-trace JSON path ("" = off)
     std::string statsJson;     ///< end-of-run stats JSON path ("" = off)
     std::string statsCsv;      ///< epoch-series CSV path ("" = off)
@@ -160,37 +160,6 @@ struct FaultConfig
     }
 };
 
-/** Which cycle engine advances the chip (see DESIGN.md section 14). */
-enum class EngineKind : u8
-{
-    Serial,  ///< single host thread, the reference engine
-    Sharded, ///< per-quad domains on host worker threads, bit-identical
-};
-
-const char *engineKindName(EngineKind kind);
-
-/** Parse "serial"/"sharded" into @p out; false on unknown names. */
-bool parseEngineKind(const char *name, EngineKind *out);
-
-/**
- * Cycle-engine configuration: how the simulator advances the chip, not
- * what the chip is. None of these options may change simulated results
- * except @ref sampled, which trades timing fidelity for host speed
- * (bounded by the golden-figure tolerance; see DESIGN.md section 14).
- */
-struct EngineConfig
-{
-    EngineKind kind = EngineKind::Serial;
-    u32 workers = 0;    ///< sharded host workers (0 = all host cores)
-    u32 shardGrain = 8; ///< min due units per cycle to fan out a cycle
-    bool sampled = false; ///< fast-functional windows between detailed ones
-    // Sampling defaults: a 25% duty cycle with windows long enough to
-    // amortize the post-fast-window ramp-in transient. Shorter windows
-    // at the same duty cycle measurably bias the figure sweeps.
-    u32 samplePeriod = 16384; ///< sampling period in cycles
-    u32 sampleDetail = 4096;  ///< detailed-window length within the period
-};
-
 /**
  * Structural configuration of one Cyclops chip.
  *
@@ -239,7 +208,6 @@ struct ChipConfig
     LatencyConfig lat;
     ObsConfig obs;
     FaultConfig fault;
-    EngineConfig engine;
 
     // Derived quantities ------------------------------------------------
     u32 numQuads() const { return numThreads / threadsPerQuad; }
@@ -281,9 +249,8 @@ struct ChipConfig
     /**
      * Canonical "key=value;" description of every field that affects
      * simulated results: structure, latencies, microarchitecture
-     * knobs, fault map, and the sampled-engine parameters when
-     * sampling is on. Engine kind/workers and observability options
-     * are excluded — they change host behavior only. Basis of hash().
+     * knobs and fault map. Observability options are excluded — they
+     * change host behavior only. Basis of hash().
      */
     std::string describe() const;
 

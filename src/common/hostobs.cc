@@ -11,7 +11,6 @@
 
 #include "common/config.h"
 #include "common/log.h"
-#include "common/parallel.h"
 
 namespace cyclops
 {
@@ -56,179 +55,23 @@ void
 HostObsSnapshot::add(const HostObsSnapshot &o)
 {
     enabled = enabled || o.enabled;
-    if (worker.empty()) {
-        workers = o.workers;
-        worker = o.worker;
-    } else if (o.worker.size() == worker.size()) {
-        for (size_t w = 0; w < worker.size(); ++w) {
-            worker[w].busyNanos += o.worker[w].busyNanos;
-            worker[w].waitNanos += o.worker[w].waitNanos;
-            worker[w].epochs += o.worker[w].epochs;
-            worker[w].ticks += o.worker[w].ticks;
-            worker[w].defers += o.worker[w].defers;
-            worker[w].quadPoisons += o.worker[w].quadPoisons;
-        }
-    }
     runWallNanos += o.runWallNanos;
-    crewNanos += o.crewNanos;
-    coordWaitNanos += o.coordWaitNanos;
-    phaseBNanos += o.phaseBNanos;
-    shardedCycles += o.shardedCycles;
-    serialFallbackCycles += o.serialFallbackCycles;
-    shardedTicks += o.shardedTicks;
-    deferredCommits += o.deferredCommits;
-    detailedCycles += o.detailedCycles;
-    functionalCycles += o.functionalCycles;
-    warmAccesses += o.warmAccesses;
     peakRssKb = std::max(peakRssKb, o.peakRssKb);
-}
-
-u64
-HostObsSnapshot::workerBusyNanos() const
-{
-    u64 sum = 0;
-    for (const Worker &w : worker)
-        sum += w.busyNanos;
-    return sum;
-}
-
-u64
-HostObsSnapshot::workerTicks() const
-{
-    u64 sum = 0;
-    for (const Worker &w : worker)
-        sum += w.ticks;
-    return sum;
-}
-
-u64
-HostObsSnapshot::workerDefers() const
-{
-    u64 sum = 0;
-    for (const Worker &w : worker)
-        sum += w.defers;
-    return sum;
-}
-
-u64
-HostObsSnapshot::workerQuadPoisons() const
-{
-    u64 sum = 0;
-    for (const Worker &w : worker)
-        sum += w.quadPoisons;
-    return sum;
-}
-
-u64
-HostObsSnapshot::syncOverheadNanos() const
-{
-    const u64 busy = workerBusyNanos();
-    return crewNanos > busy ? crewNanos - busy : 0;
-}
-
-double
-HostObsSnapshot::tickImbalancePct() const
-{
-    if (worker.empty())
-        return 0.0;
-    u64 lo = worker[0].ticks, hi = worker[0].ticks, sum = 0;
-    for (const Worker &w : worker) {
-        lo = std::min(lo, w.ticks);
-        hi = std::max(hi, w.ticks);
-        sum += w.ticks;
-    }
-    if (sum == 0)
-        return 0.0;
-    const double mean = double(sum) / double(worker.size());
-    return (double(hi) - double(lo)) / mean * 100.0;
 }
 
 // --- HostObs ----------------------------------------------------------------
 
 void
-HostObs::configure(bool enabled, u32 shardWorkers, bool traceHost)
+HostObs::configure(bool traceHost)
 {
-    enabled_ = enabled;
-    traceHost_ = enabled && traceHost;
-    workers_ = shardWorkers;
-    if (!enabled_)
-        return;
+    enabled_ = true;
+    traceHost_ = traceHost;
     baseNs_ = hostNowNs();
-    windowStartNs_ = 0;
-    slots_.assign(std::max(workers_, 1u), WorkerSlot{});
-    domainGuests_.assign(std::max(workers_, 1u), 0);
-    export_.tracks.clear();
-    export_.tracks.push_back("engine");
-    for (u32 w = 0; w < workers_; ++w)
-        export_.tracks.push_back(strprintf("lane%u", w));
-    last_ = HostObsSnapshot{};
-    last_.worker.assign(workers_, HostObsSnapshot::Worker{});
+    export_.tracks.assign(1, "engine");
 
     stats_.addGauge("host.runWallNanos", [this] { return runWallNanos_; });
-    stats_.addGauge("host.crewNanos", [this] { return crewNanos_; });
-    stats_.addGauge("host.coordWaitNanos", [this] {
-        return crew_ ? crew_->coordWaitNanos : 0;
-    });
-    stats_.addGauge("host.phaseBNanos", [this] { return phaseBNanos_; });
-    stats_.addGauge("host.shardedCycles",
-                    [this] { return shardedCycles_; });
-    stats_.addGauge("host.serialFallbackCycles",
-                    [this] { return serialFallbackCycles_; });
-    stats_.addGauge("host.shardedTicks", [this] { return shardedTicks_; });
-    stats_.addGauge("host.deferredCommits",
-                    [this] { return deferredCommits_; });
-    stats_.addGauge("host.detailedCycles",
-                    [this] { return detailedCycles_; });
-    stats_.addGauge("host.functionalCycles",
-                    [this] { return functionalCycles_; });
-    stats_.addGauge("host.warmAccesses", [this] { return warmAccesses_; });
     stats_.addGauge("host.peakRssKb", [] { return hostPeakRssKb(); });
     stats_.addGauge("host.rssKb", [] { return hostCurrentRssKb(); });
-    for (u32 w = 0; w < workers_; ++w) {
-        stats_.addGauge(strprintf("host.w%u.busyNanos", w),
-                        [this, w] { return slots_[w].busyNanos; });
-        stats_.addGauge(strprintf("host.w%u.waitNanos", w), [this, w] {
-            if (!crew_)
-                return u64(0);
-            return w == 0 ? crew_->coordWaitNanos
-                          : crew_->lanes[w].waitNanos;
-        });
-        stats_.addGauge(strprintf("host.w%u.epochs", w), [this, w] {
-            if (!crew_)
-                return u64(0);
-            return w == 0 ? crew_->epochs : crew_->lanes[w].epochs;
-        });
-        stats_.addGauge(strprintf("host.w%u.ticks", w),
-                        [this, w] { return slots_[w].ticks; });
-        stats_.addGauge(strprintf("host.w%u.defers", w),
-                        [this, w] { return slots_[w].defers; });
-        stats_.addGauge(strprintf("host.w%u.quadPoisons", w),
-                        [this, w] { return slots_[w].quadPoisons; });
-        stats_.addGauge(strprintf("host.w%u.guests", w),
-                        [this, w] { return domainGuests_[w]; });
-    }
-}
-
-void
-HostObs::setDomainGuests(const std::vector<u64> &counts)
-{
-    if (!enabled_)
-        return;
-    for (size_t w = 0; w < domainGuests_.size() && w < counts.size(); ++w)
-        domainGuests_[w] = counts[w];
-}
-
-void
-HostObs::addSampledSkip(u64 lo, u64 hi, u64 period, u64 detail)
-{
-    // Detailed cycles below x: full periods contribute `detail` each,
-    // the partial period its clipped prefix.
-    auto detailedBelow = [&](u64 x) {
-        return (x / period) * detail + std::min(x % period, detail);
-    };
-    const u64 det = detailedBelow(hi) - detailedBelow(lo);
-    detailedCycles_ += det;
-    functionalCycles_ += (hi - lo) - det;
 }
 
 HostObsSnapshot
@@ -238,102 +81,39 @@ HostObs::snapshot() const
     s.enabled = enabled_;
     if (!enabled_)
         return s;
-    s.workers = workers_;
-    s.worker.resize(workers_);
-    for (u32 w = 0; w < workers_; ++w) {
-        s.worker[w].busyNanos = slots_[w].busyNanos;
-        s.worker[w].ticks = slots_[w].ticks;
-        s.worker[w].defers = slots_[w].defers;
-        s.worker[w].quadPoisons = slots_[w].quadPoisons;
-        if (crew_) {
-            if (w == 0) {
-                s.worker[w].waitNanos = crew_->coordWaitNanos;
-                s.worker[w].epochs = crew_->epochs;
-            } else if (w < crew_->lanes.size()) {
-                s.worker[w].waitNanos = crew_->lanes[w].waitNanos;
-                s.worker[w].epochs = crew_->lanes[w].epochs;
-            }
-        }
-    }
     s.runWallNanos = runWallNanos_;
-    s.crewNanos = crewNanos_;
-    s.coordWaitNanos = crew_ ? crew_->coordWaitNanos : 0;
-    s.phaseBNanos = phaseBNanos_;
-    s.shardedCycles = shardedCycles_;
-    s.serialFallbackCycles = serialFallbackCycles_;
-    s.shardedTicks = shardedTicks_;
-    s.deferredCommits = deferredCommits_;
-    s.detailedCycles = detailedCycles_;
-    s.functionalCycles = functionalCycles_;
-    s.warmAccesses = warmAccesses_;
     s.peakRssKb = hostPeakRssKb();
     return s;
 }
 
 void
-HostObs::emitWindow(u64 nowNs)
+HostObs::emitWindow(Cycle now)
 {
-    const HostObsSnapshot cur = snapshot();
-    auto emit = [&](u32 track, const char *name, u64 ts, u64 dur, u64 arg,
-                    u8 phase) {
-        if (export_.events.size() >= kMaxEvents) {
-            ++export_.dropped;
-            return;
-        }
-        export_.events.push_back({ts, dur, name, arg, track, phase});
-    };
-
-    const u64 start = windowStartNs_;
-    const u64 wall = nowNs > start ? nowNs - start : 0;
-    if (wall > 0) {
-        const u64 cyclesDelta = (cur.shardedCycles + cur.serialFallbackCycles +
-                                 cur.detailedCycles + cur.functionalCycles) -
-                                (last_.shardedCycles +
-                                 last_.serialFallbackCycles +
-                                 last_.detailedCycles +
-                                 last_.functionalCycles);
-        emit(0, "window", start, wall, cyclesDelta, 'X');
-        const u64 crewDelta = cur.crewNanos - last_.crewNanos;
-        const u64 phaseBDelta = cur.phaseBNanos - last_.phaseBNanos;
-        if (crewDelta > 0)
-            emit(0, "phaseA", start, crewDelta,
-                 cur.shardedCycles - last_.shardedCycles, 'X');
-        if (phaseBDelta > 0)
-            emit(0, "phaseB", start + crewDelta, phaseBDelta,
-                 cur.deferredCommits - last_.deferredCommits, 'X');
-        emit(0, "defers", nowNs, 0, cur.workerDefers(), 'C');
-        for (u32 w = 0; w < cur.workers && w < cur.worker.size(); ++w) {
-            const HostObsSnapshot::Worker &c = cur.worker[w];
-            const HostObsSnapshot::Worker &p =
-                w < last_.worker.size() ? last_.worker[w]
-                                        : HostObsSnapshot::Worker{};
-            const u64 busy = c.busyNanos - p.busyNanos;
-            const u64 wait = c.waitNanos - p.waitNanos;
-            if (busy > 0)
-                emit(w + 1, "busy", start, busy, c.ticks - p.ticks, 'X');
-            if (wait > 0)
-                emit(w + 1, "wait", start + busy, wait,
-                     c.epochs - p.epochs, 'X');
-        }
-    }
-    last_ = cur;
+    const u64 nowNs = sinceConfigureNs();
+    if (nowNs <= windowStartNs_)
+        return;
+    if (export_.events.size() >= kMaxEvents)
+        ++export_.dropped;
+    else
+        export_.events.push_back({windowStartNs_, nowNs - windowStartNs_,
+                                  "window", now - windowStartCycle_, 0});
     windowStartNs_ = nowNs;
+    windowStartCycle_ = now;
 }
 
 void
-HostObs::serviceFlush()
+HostObs::serviceFlush(Cycle now)
 {
-    if (!traceHost_)
-        return;
-    emitWindow(sinceConfigureNs());
+    if (traceHost_)
+        emitWindow(now);
 }
 
 const HostTraceExport *
-HostObs::traceExport()
+HostObs::traceExport(Cycle now)
 {
     if (!traceHost_)
         return nullptr;
-    emitWindow(sinceConfigureNs());
+    emitWindow(now);
     return &export_;
 }
 
@@ -407,13 +187,10 @@ writeRunManifest(const std::string &path, const RunManifest &m)
         const ChipConfig &c = *m.config;
         std::fprintf(
             f,
-            "  \"config\": {\"hash\": \"%016llx\", \"engine\": \"%s\", "
-            "\"engineWorkers\": %u, \"sampled\": %s, \"threads\": %u, "
+            "  \"config\": {\"hash\": \"%016llx\", \"threads\": %u, "
             "\"threadsPerQuad\": %u, \"banks\": %u, \"clockHz\": %llu, "
             "\"hostObs\": %s},\n",
-            static_cast<unsigned long long>(c.hash()),
-            engineKindName(c.engine.kind), c.engine.workers,
-            c.engine.sampled ? "true" : "false", c.numThreads,
+            static_cast<unsigned long long>(c.hash()), c.numThreads,
             c.threadsPerQuad, c.numBanks,
             static_cast<unsigned long long>(c.clockHz),
             c.obs.hostObs ? "true" : "false");

@@ -4,25 +4,22 @@
  *
  * The guest-facing observability stack (attribution, tracer, sampler,
  * profiler) answers "what did the simulated chip do"; this subsystem
- * answers "what did the simulator do" — where host wall-clock time
- * goes in the sharded cycle engine (phase-A work vs spin-barrier wait
- * vs serial phase-B commit), how the sampled engine splits cycles
- * between detailed and functional windows, and how much memory the
- * process peaked at. It exists because BENCH_simperf.json showed the
- * sharded engine losing to serial with no way to see why.
+ * answers "what did the simulator do" — how much host wall-clock time
+ * Chip::run took, at what simulated-cycle rate, and how much memory
+ * the process peaked at.
  *
  * Design rules, mirrored from ObsConfig:
  *  - default off; enabling it must never change simulated results
  *    (host counters live in their own StatGroup, host trace events on
  *    their own Chrome-trace process, so guest output stays
  *    byte-identical either way);
- *  - cheap when on: worker-side wall-clock reads bracket work that is
- *    microseconds long, never individual ticks.
+ *  - cheap when on: wall-clock reads happen once per run() call and
+ *    once per ~1 K-cycle service window, never per tick.
  *
  * Also home to the versioned per-run manifest (RunManifest): one small
- * JSON per run with config hash, seed, engine, git describe, host info
- * and headline counters, so tools/check_regress.py can compare runs
- * across commits without scraping logs.
+ * JSON per run with config hash, seed, git describe, host info and
+ * headline counters, so tools/check_regress.py can compare runs across
+ * commits without scraping logs.
  */
 
 #ifndef CYCLOPS_COMMON_HOSTOBS_H
@@ -39,7 +36,6 @@ namespace cyclops
 {
 
 struct ChipConfig;
-struct CrewTelemetry;
 
 /** Monotonic host clock, nanoseconds (vDSO-backed; ~20 ns per read). */
 u64 hostNowNs();
@@ -52,62 +48,20 @@ u64 hostCurrentRssKb();
 
 /**
  * Copyable value snapshot of one chip's host telemetry. add() merges
- * snapshots from multiple runs (same worker count) so a workload made
- * of several Chip::run calls reports one aggregate.
+ * snapshots so a workload made of several Chip::run calls reports one
+ * aggregate.
  */
 struct HostObsSnapshot
 {
-    struct Worker
-    {
-        u64 busyNanos = 0;   ///< wall time inside phase-A domain walks
-        u64 waitNanos = 0;   ///< spin/yield time parked on the epoch
-        u64 epochs = 0;      ///< crew epochs participated in
-        u64 ticks = 0;       ///< phase-A tickLocal invocations
-        u64 defers = 0;      ///< ticks that returned kTickDeferred
-        u64 quadPoisons = 0; ///< first defer per (quad, cycle)
-    };
-
     bool enabled = false;
-    u32 workers = 0; ///< shard workers (0 = serial engine)
-    std::vector<Worker> worker;
-
-    u64 runWallNanos = 0;    ///< wall time inside Chip::run
-    u64 crewNanos = 0;       ///< coordinator wall across phase-A fan-outs
-    u64 coordWaitNanos = 0;  ///< coordinator spin on the done counter
-    u64 phaseBNanos = 0;     ///< serial phase-B commit wall time
-    u64 shardedCycles = 0;   ///< cycles that took the fan-out path
-    u64 serialFallbackCycles = 0; ///< under-grain cycles ticked inline
-    u64 shardedTicks = 0;    ///< canonical-order entries in fan-out cycles
-    u64 deferredCommits = 0; ///< phase-B full ticks of deferred units
-
-    u64 detailedCycles = 0;   ///< sampled engine: detailed-window cycles
-    u64 functionalCycles = 0; ///< sampled engine: fast-window cycles
-    u64 warmAccesses = 0;     ///< DCache::warmAccess calls in fast windows
-
+    u64 runWallNanos = 0; ///< wall time inside Chip::run
     u64 peakRssKb = 0;
 
-    /** Merge another snapshot (must agree on worker count or be empty). */
+    /** Merge another snapshot: wall times add, peak RSS takes the max. */
     void add(const HostObsSnapshot &o);
-
-    u64 workerBusyNanos() const;  ///< sum of per-worker phase-A busy time
-    u64 workerTicks() const;
-    u64 workerDefers() const;
-    u64 workerQuadPoisons() const;
-
-    /** crewNanos minus phase-A busy time: dispatch + barrier overhead. */
-    u64 syncOverheadNanos() const;
-
-    /** (max - min) / mean of per-worker ticks, percent; 0 if uniform. */
-    double tickImbalancePct() const;
 };
 
-/**
- * Per-chip host telemetry collector. Owned by Chip; all mutation
- * happens on the coordinator thread except the per-worker slots, which
- * are written only by their owning crew lane during a fan-out (the
- * crew's epoch/done counters give the coordinator acquire visibility
- * before it ever reads them).
- */
+/** Per-chip host telemetry collector, owned by Chip. */
 class HostObs
 {
   public:
@@ -115,66 +69,12 @@ class HostObs
     static constexpr size_t kMaxEvents = size_t(1) << 16;
 
     /**
-     * Enable collection for a chip with @p shardWorkers crew lanes
-     * (0 for the serial engine). @p traceHost additionally buffers
-     * per-service-window host spans for Chrome-trace export.
+     * Enable collection. @p traceHost additionally buffers one host
+     * span per service window for Chrome-trace export.
      */
-    void configure(bool enabled, u32 shardWorkers, bool traceHost);
-
-    bool enabled() const { return enabled_; }
-    bool tracing() const { return traceHost_; }
-
-    /** Host ns since configure(); the host trace time base. */
-    u64 sinceConfigureNs() const { return hostNowNs() - baseNs_; }
-
-    /** Crew telemetry (wait times) to fold into snapshots and stats. */
-    void setCrewTelemetry(const CrewTelemetry *telem) { crew_ = telem; }
-
-    /** Per-domain guest-thread placement (exec-engine occupancy). */
-    void setDomainGuests(const std::vector<u64> &counts);
-
-    // --- Coordinator-side accumulation (cycle engine) -----------------
-
-    struct alignas(64) WorkerSlot
-    {
-        u64 busyNanos = 0;
-        u64 ticks = 0;
-        u64 defers = 0;
-        u64 quadPoisons = 0;
-    };
-
-    /** Lane @p w's slot; written only by that lane during phase A. */
-    WorkerSlot &slot(u32 w) { return slots_[w]; }
+    void configure(bool traceHost);
 
     void addRunWallNanos(u64 ns) { runWallNanos_ += ns; }
-
-    void
-    addShardedCycle(u64 crewNs, u64 phaseBNs, u64 ticks, u64 deferred)
-    {
-        crewNanos_ += crewNs;
-        phaseBNanos_ += phaseBNs;
-        ++shardedCycles_;
-        shardedTicks_ += ticks;
-        deferredCommits_ += deferred;
-    }
-
-    void addSerialFallbackCycles(u64 n) { serialFallbackCycles_ += n; }
-
-    void
-    addSampledCycles(bool detailed, u64 n)
-    {
-        (detailed ? detailedCycles_ : functionalCycles_) += n;
-    }
-
-    /**
-     * Account a fast-forward over [lo, hi) against the sampled-window
-     * split: cycles c with (c % period) < detail are detailed.
-     */
-    void addSampledSkip(u64 lo, u64 hi, u64 period, u64 detail);
-
-    void countWarmAccess() { ++warmAccesses_; }
-
-    // --- Export -------------------------------------------------------
 
     /** Host statistics registry ("host."-prefixed gauges). */
     const StatGroup &stats() const { return stats_; }
@@ -182,48 +82,38 @@ class HostObs
     HostObsSnapshot snapshot() const;
 
     /**
-     * Emit the current service window as host trace spans (engine
-     * track plus one track per crew lane). Called from the cycle
-     * engine's low-frequency service point; cheap and wall-clock only,
-     * so it cannot perturb simulated timing.
+     * Close the current service window at chip cycle @p now and emit
+     * it as a host trace span whose argument is the simulated cycles
+     * it covered. Called from the cycle engine's low-frequency service
+     * point; wall-clock only, so it cannot perturb simulated timing.
      */
-    void serviceFlush();
+    void serviceFlush(Cycle now);
 
     /**
-     * Flush the final partial window and hand the buffered host events
-     * to the tracer exporter. Returns nullptr unless tracing.
+     * Flush the final partial window (ending at chip cycle @p now) and
+     * hand the buffered host events to the tracer exporter. Returns
+     * nullptr unless tracing.
      */
-    const HostTraceExport *traceExport();
+    const HostTraceExport *traceExport(Cycle now);
 
   private:
-    void emitWindow(u64 nowNs);
+    /** Host ns since configure(); the host trace time base. */
+    u64 sinceConfigureNs() const { return hostNowNs() - baseNs_; }
+
+    void emitWindow(Cycle now);
 
     bool enabled_ = false;
     bool traceHost_ = false;
-    u32 workers_ = 0;
     u64 baseNs_ = 0;
-    const CrewTelemetry *crew_ = nullptr;
-
-    std::vector<WorkerSlot> slots_;
     u64 runWallNanos_ = 0;
-    u64 crewNanos_ = 0;
-    u64 phaseBNanos_ = 0;
-    u64 shardedCycles_ = 0;
-    u64 serialFallbackCycles_ = 0;
-    u64 shardedTicks_ = 0;
-    u64 deferredCommits_ = 0;
-    u64 detailedCycles_ = 0;
-    u64 functionalCycles_ = 0;
-    u64 warmAccesses_ = 0;
-    std::vector<u64> domainGuests_;
 
     StatGroup stats_;
 
-    // Host trace state: previous-window cumulative counters, so each
-    // flush emits deltas as spans.
+    // Host trace state: where the open service window started, in host
+    // ns and in chip cycles.
     HostTraceExport export_;
     u64 windowStartNs_ = 0;
-    HostObsSnapshot last_;
+    Cycle windowStartCycle_ = 0;
 };
 
 /** RAII wall-clock scope charging its lifetime to HostObs::runWall. */
@@ -250,9 +140,9 @@ class HostRunTimer
 /**
  * One run's identity and headline numbers, serialized by
  * writeRunManifest as "cyclops-manifest-v1" JSON. Every field that
- * affects simulated results is captured by config->hash(); engine
- * choice and host facts ride along as explicit fields because they
- * affect wall-clock, not results.
+ * affects simulated results is captured by config->hash(); host facts
+ * ride along as explicit fields because they affect wall-clock, not
+ * results.
  */
 struct RunManifest
 {

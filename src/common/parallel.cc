@@ -141,27 +141,12 @@ ShardCrew::runEpoch(u32 w, const std::function<void(u32)> *fn)
 }
 
 void
-ShardCrew::setTelemetry(CrewTelemetry *telem)
-{
-    if (telem)
-        telem->lanes.resize(workers_);
-    // Release so a worker's acquire load sees the resized lanes.
-    telem_.store(telem, std::memory_order_release);
-}
-
-void
 ShardCrew::workerMain(u32 w)
 {
     u64 seen = 0;
     for (;;) {
-        // Telemetry clocks bracket only the spin — wall-clock reads
-        // taken while the lane is idle anyway, so an instrumented crew
-        // costs nothing on the critical path.
-        CrewTelemetry *telem = telem_.load(std::memory_order_acquire);
-        const u64 t0 = telem ? hostNowNs() : 0;
         // Spin on the epoch; fall back to yield after a while so an
-        // idle crew (serial fallback stretches, sampled fast windows)
-        // does not monopolize host cores.
+        // idle crew does not monopolize host cores.
         u32 spins = 0;
         while (epoch_.load(std::memory_order_acquire) == seen) {
             if (++spins < spinLimit_)
@@ -170,11 +155,6 @@ ShardCrew::workerMain(u32 w)
                 std::this_thread::yield();
         }
         ++seen;
-        if (telem) {
-            CrewTelemetry::Lane &lane = telem->lanes[w];
-            lane.waitNanos += hostNowNs() - t0;
-            ++lane.epochs;
-        }
         if (stop_)
             return;
         runEpoch(w, fn_);
@@ -195,8 +175,6 @@ ShardCrew::run(const std::function<void(u32)> &fn)
 
     runEpoch(0, &fn);
 
-    CrewTelemetry *telem = telem_.load(std::memory_order_relaxed);
-    const u64 t0 = telem ? hostNowNs() : 0;
     const u32 others = u32(threads_.size());
     u32 spins = 0;
     while (done_.load(std::memory_order_acquire) != others) {
@@ -204,10 +182,6 @@ ShardCrew::run(const std::function<void(u32)> &fn)
             cpuRelax();
         else
             std::this_thread::yield();
-    }
-    if (telem) {
-        telem->coordWaitNanos += hostNowNs() - t0;
-        ++telem->epochs;
     }
     fn_ = nullptr;
     for (std::exception_ptr &e : errors_) {

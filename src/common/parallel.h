@@ -102,12 +102,12 @@ class SimPool
 };
 
 /**
- * A spin-synchronized crew of host threads for the sharded cycle
- * engine's per-cycle fan-out (see DESIGN.md section 14).
+ * A spin-synchronized crew of host threads for fan-outs too frequent
+ * for SimPool, such as one worker per chip at every fabric epoch.
  *
  * SimPool's mutex/condvar handshake costs microseconds per dispatch —
  * fine for whole-simulation sweep points, hopeless for a fan-out every
- * simulated cycle. ShardCrew instead parks workers on a spinning
+ * few simulated cycles. ShardCrew instead parks workers on a spinning
  * epoch counter: run() publishes work with one release-increment and
  * waits for a done-counter, so a round trip is a few hundred
  * nanoseconds when the crew is hot.
@@ -123,27 +123,6 @@ class SimPool
  * the calling thread (lowest worker index wins), after all workers
  * have finished the epoch.
  */
-/**
- * Optional crew wait-time telemetry (host observability). One Lane per
- * worker index; lane w is written only by worker w (cache-line
- * separated), coordWaitNanos and epochs only by the coordinator, so
- * collection is race-free without atomics: the crew's existing
- * epoch/done release-acquire pairs order every write against the
- * coordinator's reads between epochs.
- */
-struct CrewTelemetry
-{
-    struct alignas(64) Lane
-    {
-        u64 waitNanos = 0; ///< spin/yield time parked on the epoch
-        u64 epochs = 0;    ///< epochs this lane ran
-    };
-
-    std::vector<Lane> lanes;
-    u64 coordWaitNanos = 0; ///< coordinator spin on the done counter
-    u64 epochs = 0;         ///< epochs dispatched
-};
-
 class ShardCrew
 {
   public:
@@ -155,13 +134,6 @@ class ShardCrew
     ShardCrew &operator=(const ShardCrew &) = delete;
 
     u32 workers() const { return workers_; }
-
-    /**
-     * Attach wait-time telemetry (resized to the crew width). Must be
-     * called before the first run(); workers pick the pointer up with
-     * an acquire load so the handoff is race-free. Null detaches.
-     */
-    void setTelemetry(CrewTelemetry *telem);
 
     /** Run fn(w) for every w in [0, workers); blocks until all done. */
     void run(const std::function<void(u32)> &fn);
@@ -176,7 +148,6 @@ class ShardCrew
     const std::function<void(u32)> *fn_ = nullptr; ///< published by epoch_
     bool stop_ = false;                            ///< published by epoch_
     std::vector<std::exception_ptr> errors_;       ///< one slot per worker
-    std::atomic<CrewTelemetry *> telem_{nullptr};
     alignas(64) std::atomic<u64> epoch_{0};
     alignas(64) std::atomic<u32> done_{0};
 };

@@ -77,7 +77,8 @@ namespace
  * Append @p host as a second Chrome-trace process (pid 2). Host
  * timestamps are wall-clock nanoseconds; the trace-event format wants
  * microseconds, so they are printed with sub-microsecond fractions.
- * Events are emitted sorted by timestamp within this pid (validated by
+ * HostObs appends its service windows in time order, so events leave
+ * here sorted by timestamp within this pid (validated by
  * tools/check_trace.py per process).
  */
 void
@@ -93,32 +94,15 @@ writeHostEvents(std::FILE *out, const HostTraceExport &host)
                      "\"%s\"}}",
                      t, host.tracks[t].c_str());
     }
-    std::vector<HostTraceEvent> events = host.events;
-    std::stable_sort(events.begin(), events.end(),
-                     [](const HostTraceEvent &a, const HostTraceEvent &b) {
-                         if (a.tsNs != b.tsNs)
-                             return a.tsNs < b.tsNs;
-                         // Larger spans first so same-start spans nest.
-                         return a.durNs > b.durNs;
-                     });
-    for (const HostTraceEvent &ev : events) {
-        if (ev.phase == 'X') {
-            std::fprintf(out,
-                         ",\n    {\"ph\": \"X\", \"pid\": 2, \"tid\": %u, "
-                         "\"name\": \"%s\", \"cat\": \"host\", "
-                         "\"ts\": %.3f, \"dur\": %.3f, "
-                         "\"args\": {\"arg\": %llu}}",
-                         ev.track, ev.name, double(ev.tsNs) / 1000.0,
-                         double(ev.durNs) / 1000.0,
-                         static_cast<unsigned long long>(ev.arg));
-        } else {
-            std::fprintf(out,
-                         ",\n    {\"ph\": \"C\", \"pid\": 2, \"tid\": %u, "
-                         "\"name\": \"%s\", \"cat\": \"host\", "
-                         "\"ts\": %.3f, \"args\": {\"value\": %llu}}",
-                         ev.track, ev.name, double(ev.tsNs) / 1000.0,
-                         static_cast<unsigned long long>(ev.arg));
-        }
+    for (const HostTraceEvent &ev : host.events) {
+        std::fprintf(out,
+                     ",\n    {\"ph\": \"X\", \"pid\": 2, \"tid\": %u, "
+                     "\"name\": \"%s\", \"cat\": \"host\", "
+                     "\"ts\": %.3f, \"dur\": %.3f, "
+                     "\"args\": {\"arg\": %llu}}",
+                     ev.track, ev.name, double(ev.tsNs) / 1000.0,
+                     double(ev.durNs) / 1000.0,
+                     static_cast<unsigned long long>(ev.arg));
     }
 }
 

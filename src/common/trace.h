@@ -68,11 +68,10 @@ u8 parseTraceCats(const std::string &spec);
 struct HostTraceEvent
 {
     u64 tsNs;         ///< start, host ns since the run base
-    u64 durNs;        ///< span length ('X'); ignored for 'C'
+    u64 durNs;        ///< span length
     const char *name; ///< static string; never freed
-    u64 arg;          ///< span argument or counter value
-    u32 track;        ///< host thread track (0 = engine, 1.. = lanes)
-    u8 phase;         ///< 'X' complete or 'C' counter
+    u64 arg;          ///< span argument
+    u32 track;        ///< host thread track (index into tracks)
 };
 
 /** Host events plus their track names, handed to the JSON exporter. */

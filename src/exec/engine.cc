@@ -49,38 +49,7 @@ GuestEngine::run(Cycle maxCycles)
 {
     if (spawned_ == 0)
         fatal("GuestEngine::run with no spawned guests");
-    if (!placementChecked_) {
-        placementChecked_ = true;
-        checkShardPlacement();
-    }
     return chip_.run(maxCycles);
-}
-
-void
-GuestEngine::checkShardPlacement()
-{
-    // The sharded engine's parallelism is bounded by how many worker
-    // domains actually hold runnable units. The allocation policy
-    // (e.g. Sequential) can concentrate a small spawn into one domain,
-    // leaving the other workers spinning at each epoch barrier for
-    // nothing. Results are identical either way — this only advises.
-    const u32 w = chip_.shardWorkers();
-    if (w <= 1)
-        return;
-    std::vector<u64> perDomain(w, 0);
-    for (u32 i = 0; i < spawned_; ++i)
-        ++perDomain[chip_.shardDomainOf(order_[i])];
-    // Host telemetry correlates per-worker tick imbalance with guest
-    // placement (host.wN.guests gauges).
-    chip_.noteShardOccupancy(perDomain);
-    u32 occupied = 0;
-    for (u64 count : perDomain)
-        occupied += count != 0;
-    if (occupied < w)
-        inform("sharded engine: %u guest threads occupy %u of %u "
-               "worker domains; consider Scatter allocation or fewer "
-               "--engine-workers",
-               spawned_, occupied, w);
 }
 
 } // namespace cyclops::exec

@@ -51,14 +51,11 @@ class GuestEngine
     u32 usableThreads() const { return u32(order_.size()); }
 
   private:
-    void checkShardPlacement();
-
     arch::Chip &chip_;
     std::vector<ThreadId> order_;
     kernel::Heap heap_;
     std::vector<std::unique_ptr<GuestCtx>> ctxs_;
     u32 spawned_ = 0;
-    bool placementChecked_ = false;
 };
 
 } // namespace cyclops::exec

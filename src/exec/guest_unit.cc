@@ -84,17 +84,12 @@ GuestUnit::issueMem(Cycle now, MemKind kind, Addr ea, u8 bytes,
 }
 
 Cycle
-GuestUnit::tickImpl(Cycle now, bool localOnly, bool fpuOk)
+GuestUnit::tick(Cycle now)
 {
     if (halted_)
         return kCycleNever;
 
     if (!pending_) {
-        // Resuming the coroutine runs arbitrary guest code that may
-        // touch shared host-side data structures; only canonical order
-        // is safe.
-        if (localOnly)
-            return kTickDeferred;
         // Resume the guest; it runs natively until it awaits the next
         // micro-op or the top-level coroutine finishes.
         auto h = current_ ? current_
@@ -116,9 +111,7 @@ GuestUnit::tickImpl(Cycle now, bool localOnly, bool fpuOk)
     }
 
     MicroOp &op = ops_[opIdx_];
-    StepResult r = step(now, op, localOnly, fpuOk);
-    if (r.deferred)
-        return kTickDeferred;
+    StepResult r = step(now, op);
     if (!r.done)
         return std::max(r.at, now + 1);
 
@@ -134,7 +127,7 @@ GuestUnit::tickImpl(Cycle now, bool localOnly, bool fpuOk)
 }
 
 GuestUnit::StepResult
-GuestUnit::step(Cycle now, MicroOp &op, bool localOnly, bool fpuOk)
+GuestUnit::step(Cycle now, MicroOp &op)
 {
     const LatencyConfig &lat = chip_.config().lat;
 
@@ -164,8 +157,6 @@ GuestUnit::step(Cycle now, MicroOp &op, bool localOnly, bool fpuOk)
       }
 
       case OpKind::Fpu: {
-        if (localOnly && !fpuOk)
-            return {false, 0, true}; // quad FPU order pinned to phase B
         Cycle resultAt = 0;
         if (!chip_.fpuOf(tid_).dispatch(now, op.fpu, &resultAt)) {
             accountWait(now, now + 1, CycleCat::FpuArb);
@@ -186,8 +177,6 @@ GuestUnit::step(Cycle now, MicroOp &op, bool localOnly, bool fpuOk)
                                               : CycleCat::DcacheMiss);
             return {false, wake};
         }
-        if (localOnly)
-            return {false, 0, true}; // fabric access: phase B
         MemTiming t = issueMem(now, MemKind::Load, op.ea, op.bytes,
                                &op.result);
         // Polling semantics: re-reading an unchanged location is not
@@ -210,8 +199,6 @@ GuestUnit::step(Cycle now, MicroOp &op, bool localOnly, bool fpuOk)
                                               : CycleCat::DcacheMiss);
             return {false, wake};
         }
-        if (localOnly)
-            return {false, 0, true}; // fabric access: phase B
         noteProgress();
         MemTiming t = issueMem(now, MemKind::Store, op.ea, op.bytes,
                                &op.value);
@@ -231,8 +218,6 @@ GuestUnit::step(Cycle now, MicroOp &op, bool localOnly, bool fpuOk)
                                               : CycleCat::DcacheMiss);
             return {false, wake};
         }
-        if (localOnly)
-            return {false, 0, true}; // fabric access: phase B
         const u32 old = u32(chip_.memRead(op.ea, 4, tid_));
         notePoll(0, op.ea, old);
         u32 fresh = old;
@@ -276,16 +261,10 @@ GuestUnit::step(Cycle now, MicroOp &op, bool localOnly, bool fpuOk)
       }
 
       case OpKind::HwBarrier:
-        if (localOnly)
-            return {false, 0, true}; // barrier SPR wired-OR: phase B
         return stepHwBarrier(now, op);
       case OpKind::SwCentralBarrier:
-        if (localOnly)
-            return {false, 0, true}; // shared counter/flag: phase B
         return stepCentral(now, op);
       case OpKind::SwTreeBarrier:
-        if (localOnly)
-            return {false, 0, true}; // shared arrive/release: phase B
         return stepTree(now, op);
     }
     panic("unhandled micro-op kind");

@@ -27,13 +27,7 @@ class GuestUnit : public arch::Unit
     /** Install the top-level coroutine (before activation). */
     void start(GuestTask task);
 
-    Cycle tick(Cycle now) override { return tickImpl(now, false, true); }
-
-    Cycle
-    tickLocal(Cycle now, bool fpuOk) override
-    {
-        return tickImpl(now, true, fpuOk);
-    }
+    Cycle tick(Cycle now) override;
 
     arch::Chip &chip() { return chip_; }
     u32 softIdx() const { return softIdx_; }
@@ -50,14 +44,9 @@ class GuestUnit : public arch::Unit
     {
         bool done;   ///< op finished (false: re-step at @ref at)
         Cycle at;    ///< next-issue cycle (done) or wake cycle (wait)
-        bool deferred = false; ///< localOnly: needs shared state, no
-                               ///< observable change was made
     };
 
-    /** tick() body shared with tickLocal() (see Unit::tickLocal). */
-    Cycle tickImpl(Cycle now, bool localOnly, bool fpuOk);
-
-    StepResult step(Cycle now, MicroOp &op, bool localOnly, bool fpuOk);
+    StepResult step(Cycle now, MicroOp &op);
     StepResult stepHwBarrier(Cycle now, MicroOp &op);
     StepResult stepCentral(Cycle now, MicroOp &op);
     StepResult stepTree(Cycle now, MicroOp &op);

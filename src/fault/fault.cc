@@ -77,7 +77,6 @@ campaignChip(const CampaignOptions &opts)
     cfg.numBanks = 4;
     cfg.bankBytes = 256 * 1024;
     cfg.fault.watchdogCycles = opts.watchdogCycles;
-    cfg.engine = opts.engine;
     return cfg;
 }
 
@@ -147,7 +146,6 @@ campaignSystem(const CampaignOptions &opts)
     mc.threads = std::min<u32>(opts.threads, 8);
     mc.words = 8;
     mc.iters = 2;
-    mc.engine = opts.engine;
     mc.maxCycles = opts.maxCycles;
     mc.chipFault.watchdogCycles = opts.watchdogCycles;
     return mc;

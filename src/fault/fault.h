@@ -100,7 +100,6 @@ struct CampaignOptions
     u32 bodyOps = 48;  ///< program size knob (verify::GenOptions)
     u64 maxCycles = 200'000;      ///< per-run cycle budget (-> Hang)
     u64 watchdogCycles = 50'000;  ///< chip watchdog for injected runs
-    EngineConfig engine; ///< cycle engine for the injected runs
 
     /**
      * Restrict the campaign to one fault kind. The chip kinds

@@ -193,8 +193,8 @@ class Fabric
      * check the conservation ledger (structured fatal on violation).
      * arch::System calls this at every epoch boundary. An armed
      * mid-run fault map (atCycle > 0) is applied here the first time
-     * at >= atCycle — epoch boundaries are identical across engines,
-     * so the application point is deterministic.
+     * at >= atCycle — epoch boundaries are a pure function of the
+     * program, so the application point is deterministic.
      */
     void advance(Cycle at);
 

@@ -33,7 +33,6 @@ fuzzLoop(const FuzzOptions &opts)
 
         DiffConfig diff;
         diff.mutation = opts.mutation;
-        diff.chip.engine = opts.engine;
         diff.chip.obs = opts.obs;
         diff.chip.obs.tag = strprintf("i%u", i);
         // Vary timing-only knobs: architectural results must not care.

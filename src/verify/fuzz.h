@@ -25,7 +25,6 @@ struct FuzzOptions
     bool shrinkOnFail = true;
     bool verbose = false; ///< per-iteration progress on stdout
     Mutation mutation = Mutation::None; ///< harness self-test hook
-    EngineConfig engine; ///< cycle engine for the timing side
 
     /**
      * Observability for the timing-side chips. Output paths should

@@ -335,7 +335,6 @@ MultiChipConfig::systemConfig() const
     cc.reservedThreads = 0;
     cc.numBanks = 16;
     cc.bankBytes = 64 * 1024;
-    cc.engine = engine;
     cc.obs = obs;
     cc.fault = chipFault;
     sc.fabric.net.dimX = dimX;

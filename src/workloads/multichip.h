@@ -9,7 +9,7 @@
  * pure function of (chip, direction, element, iteration), the host
  * verifies the landed bytes after the run, and a fingerprint over the
  * window memory plus the fabric counters lets the determinism tests
- * compare whole runs across engines and job counts with one u64.
+ * compare whole runs across repeats and job counts with one u64.
  */
 
 #ifndef CYCLOPS_WORKLOADS_MULTICHIP_H
@@ -30,7 +30,6 @@ struct MultiChipConfig
     u32 threads = 8; ///< guest threads per chip (<= the shrunken 8 TUs)
     u32 words = 64;  ///< 8-byte words per halo face / STREAM elements
     u32 iters = 2;   ///< halo exchange iterations
-    EngineConfig engine;
     ObsConfig obs;
 
     /** Link degradation applied to the fabric (dead / flaky /

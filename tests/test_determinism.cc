@@ -1,7 +1,8 @@
 /**
  * @file
  * Determinism regression tests: the safety net for the host-parallel
- * sweep runner and the timing-core hot-path optimizations.
+ * sweep runner, the timing-core hot-path optimizations and the host
+ * thread primitives (SimPool, ShardCrew) they build on.
  *
  * A simulation point must be a pure function of its configuration —
  * same cycle counts, instruction counts and statistics on every run,
@@ -12,6 +13,8 @@
 
 #include <atomic>
 #include <gtest/gtest.h>
+#include <stdexcept>
+#include <thread>
 
 #include "common/parallel.h"
 #include "workloads/multichip.h"
@@ -128,28 +131,17 @@ TEST(Determinism, MultiChipHaloRepeatsExactly)
     expectSameMultiChip(first, second);
 }
 
-TEST(Determinism, MultiChipHaloSerialVsSharded)
+TEST(Determinism, MultiChipStreamRepeatsExactly)
 {
-    // The sharded engine defers every memory operation to its serial
-    // phase B, so remote traffic is injected in the same canonical
-    // order as under the serial engine: the runs must be bit-identical.
+    // Distributed STREAM: every chip remote-loads its neighbor's b[],
+    // so the fingerprint also covers the round-trip load path.
     MultiChipConfig cfg;
     cfg.words = 16;
     cfg.iters = 2;
-    cfg.engine.kind = EngineKind::Serial;
-    const MultiChipResult serial = runHaloExchange(cfg);
-    cfg.engine.kind = EngineKind::Sharded;
-    cfg.engine.workers = 4;
-    const MultiChipResult sharded = runHaloExchange(cfg);
-    EXPECT_TRUE(serial.verified);
-    expectSameMultiChip(serial, sharded);
-
-    cfg.engine.kind = EngineKind::Serial;
-    const MultiChipResult streamSerial = runDistributedStream(cfg);
-    cfg.engine.kind = EngineKind::Sharded;
-    const MultiChipResult streamSharded = runDistributedStream(cfg);
-    EXPECT_TRUE(streamSerial.verified);
-    expectSameMultiChip(streamSerial, streamSharded);
+    const MultiChipResult first = runDistributedStream(cfg);
+    const MultiChipResult second = runDistributedStream(cfg);
+    EXPECT_TRUE(first.verified);
+    expectSameMultiChip(first, second);
 }
 
 TEST(Determinism, MultiChipSweepMatchesSerial)
@@ -227,4 +219,59 @@ TEST(SimPool, ResolveJobs)
 {
     EXPECT_EQ(SimPool::resolveJobs(5), 5u);
     EXPECT_GE(SimPool::resolveJobs(0), 1u);
+}
+
+TEST(ShardCrew, RunsEveryWorkerExactlyOnce)
+{
+    ShardCrew crew(4);
+    EXPECT_EQ(crew.workers(), 4u);
+    std::vector<std::atomic<u32>> hits(4);
+    for (int epoch = 0; epoch < 100; ++epoch)
+        crew.run([&](u32 w) {
+            hits[w].fetch_add(1, std::memory_order_relaxed);
+        });
+    for (u32 w = 0; w < 4; ++w)
+        EXPECT_EQ(hits[w].load(), 100u) << "worker " << w;
+}
+
+TEST(ShardCrew, PublishesWritesAcrossEpochs)
+{
+    // Writes by worker w in epoch e must be visible to every worker
+    // in epoch e+1.
+    ShardCrew crew(4);
+    std::vector<u64> slots(4, 0);
+    for (u64 epoch = 1; epoch <= 200; ++epoch) {
+        crew.run([&](u32 w) { slots[w] = epoch; });
+        crew.run([&](u32 w) {
+            for (u32 o = 0; o < 4; ++o)
+                if (slots[o] != epoch)
+                    ADD_FAILURE() << "worker " << w << " saw stale "
+                                  << slots[o] << " at epoch " << epoch;
+        });
+    }
+}
+
+TEST(ShardCrew, SingleWorkerRunsInline)
+{
+    ShardCrew crew(1);
+    const auto caller = std::this_thread::get_id();
+    bool sameThread = false;
+    crew.run([&](u32 w) {
+        sameThread = w == 0 && std::this_thread::get_id() == caller;
+    });
+    EXPECT_TRUE(sameThread);
+}
+
+TEST(ShardCrew, RethrowsWorkerException)
+{
+    ShardCrew crew(2);
+    EXPECT_THROW(crew.run([&](u32 w) {
+        if (w == 1)
+            throw std::runtime_error("shard failure");
+    }),
+                 std::runtime_error);
+    // The crew must stay usable after an exceptional epoch.
+    std::atomic<u32> ran{0};
+    crew.run([&](u32) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 2u);
 }

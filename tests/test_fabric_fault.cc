@@ -7,7 +7,7 @@
  * The central claims: (1) a dead link is survived by deterministic
  * rerouting and a flaky link by checksum-catch + retransmit — the
  * host-verified halo exchange completes bit-identically across
- * repeats, engines, and job counts even while degraded; (2) flit
+ * repeats and job counts even while degraded; (2) flit
  * conservation extends to drops: injected == delivered + in flight +
  * dropped, always; (3) a benign fault map (the model armed, nothing
  * degraded) changes no timing at all — the overhead of compiling the
@@ -305,17 +305,9 @@ TEST(FabricFault, HaloSurvivesDeadLinkFlakyLinkAndDeadTu)
     EXPECT_EQ(r.flitsInFlight, 0u);
     EXPECT_EQ(r.flitsInjected, r.flitsDelivered + r.flitsDropped);
 
-    // Bit-identical on repeat...
+    // Bit-identical on repeat.
     const MultiChipResult again = workloads::runHaloExchange(mc);
     expectSameRun(r, again);
-
-    // ...and across engines (sharded defers memory ops to its serial
-    // phase, so the injection order — and every corruption draw and
-    // retry — is engine-invariant).
-    MultiChipConfig sharded = mc;
-    sharded.engine.kind = EngineKind::Sharded;
-    sharded.engine.workers = 4;
-    expectSameRun(r, workloads::runHaloExchange(sharded));
 }
 
 TEST(FabricFault, MidRunFaultInjectionIsDeterministic)

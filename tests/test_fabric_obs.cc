@@ -357,20 +357,6 @@ TEST(FabricObs, ObservabilityDoesNotChangeTiming)
     EXPECT_EQ(plain.cycles, traced.cycles);
     EXPECT_EQ(plain.instructions, traced.instructions);
     EXPECT_EQ(plain.fingerprint, traced.fingerprint);
-
-    // The sharded engine with observability on still reproduces the
-    // plain serial run, fingerprint and all.
-    MultiChipConfig sharded = instrumented;
-    sharded.obs.traceOut = tempPath("fabric_obs_trace_sh.json");
-    sharded.obs.fabricStats = tempPath("fabric_obs_sh.json");
-    sharded.obs.fabricHeatmap = tempPath("fabric_obs_heat_sh.csv");
-    sharded.engine.kind = EngineKind::Sharded;
-    sharded.engine.workers = 2;
-    const MultiChipResult shardedRun =
-        workloads::runHaloExchange(sharded);
-    ASSERT_TRUE(shardedRun.verified);
-    EXPECT_EQ(plain.cycles, shardedRun.cycles);
-    EXPECT_EQ(plain.fingerprint, shardedRun.fingerprint);
 }
 
 TEST(FabricObs, FabricStatsAndHeatmapFilesWellFormed)

@@ -2,19 +2,13 @@
  * @file
  * Host-observability tests (common/hostobs.h, DESIGN.md section 15).
  *
- * Three pillars:
- *  - accounting identities: per-worker tick/defer counts must sum
- *    exactly to the engine-level counters, and the sampled engine's
- *    detailed + functional window split must cover every cycle;
+ * Two pillars:
  *  - zero perturbation: enabling host telemetry must leave simulated
  *    cycles, instructions, attribution and guest trace output
  *    byte-identical;
  *  - export plumbing: host stats land in their own "host."-prefixed
  *    group, host trace events on their own Chrome-trace process, and
  *    run manifests round-trip the headline fields.
- *
- * These tests run under the TSan preset too, where the per-lane
- * telemetry slots double as a data-race check on the crew handoff.
  */
 
 #include <cstdio>
@@ -50,7 +44,7 @@ slurp(const std::string &path)
     return buffer.str();
 }
 
-/** Small STREAM point exercising defers (FPU arb) and bank traffic. */
+/** Small STREAM point exercising the FPU and bank traffic. */
 StreamConfig
 streamPoint()
 {
@@ -62,13 +56,9 @@ streamPoint()
 }
 
 ChipConfig
-chipWith(EngineKind kind, u32 workers, bool hostObs,
-         bool sampled = false)
+chipWith(bool hostObs)
 {
     ChipConfig cfg;
-    cfg.engine.kind = kind;
-    cfg.engine.workers = workers;
-    cfg.engine.sampled = sampled;
     cfg.obs.hostObs = hostObs;
     return cfg;
 }
@@ -76,100 +66,34 @@ chipWith(EngineKind kind, u32 workers, bool hostObs,
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Accounting identities
+// Collection
 // ---------------------------------------------------------------------------
-
-TEST(HostObs, ShardedWorkerCountsSumExactly)
-{
-    const StreamResult r = runStream(
-        streamPoint(), chipWith(EngineKind::Sharded, 2, true));
-    const HostObsSnapshot &s = r.host;
-    ASSERT_TRUE(s.enabled);
-    ASSERT_EQ(s.workers, 2u);
-    ASSERT_EQ(s.worker.size(), 2u);
-    EXPECT_GT(s.shardedCycles, 0u);
-
-    // Phase A walks every canonical entry of every fan-out cycle
-    // exactly once, split across the workers.
-    EXPECT_EQ(s.workerTicks(), s.shardedTicks);
-    // Every deferred phase-A tick is committed exactly once in
-    // phase B, and quad poisons can only come from defers.
-    EXPECT_EQ(s.workerDefers(), s.deferredCommits);
-    EXPECT_LE(s.workerQuadPoisons(), s.workerDefers());
-}
-
-TEST(HostObs, ShardedWallTimeAccountingIsCoherent)
-{
-    const StreamResult r = runStream(
-        streamPoint(), chipWith(EngineKind::Sharded, 2, true));
-    const HostObsSnapshot &s = r.host;
-
-    // The crew (phase-A fan-out) and serial phase B both happen
-    // inside Chip::run.
-    EXPECT_GT(s.runWallNanos, 0u);
-    EXPECT_GT(s.crewNanos, 0u);
-    EXPECT_GT(s.phaseBNanos, 0u);
-    EXPECT_LE(s.crewNanos + s.phaseBNanos, s.runWallNanos);
-
-    // The coordinator's own phase-A walk happens inside the crew
-    // window; its spin on the done counter cannot exceed the crew
-    // wall either.
-    EXPECT_LE(s.worker[0].busyNanos, s.crewNanos);
-    EXPECT_LE(s.coordWaitNanos, s.crewNanos);
-
-    // Both workers participated in every fan-out epoch (lane 0's
-    // epochs are the coordinator's).
-    for (const HostObsSnapshot::Worker &w : s.worker)
-        EXPECT_GE(w.epochs, s.shardedCycles);
-}
-
-TEST(HostObs, SampledWindowSplitCoversEveryCycle)
-{
-    StreamConfig cfg = streamPoint();
-    ChipConfig chip = chipWith(EngineKind::Serial, 0, true, true);
-    const StreamResult r = runStream(cfg, chip);
-    const HostObsSnapshot &s = r.host;
-
-    // Every simulated cycle is either a detailed-window or a
-    // functional (fast-forward) cycle — exact, not approximate.
-    EXPECT_EQ(s.detailedCycles + s.functionalCycles, r.simCycles);
-    EXPECT_GT(s.detailedCycles, 0u);
-    EXPECT_GT(s.functionalCycles, 0u);
-    // Functional windows service loads/stores through the warm path.
-    EXPECT_GT(s.warmAccesses, 0u);
-    // No sharded activity on the serial engine.
-    EXPECT_EQ(s.shardedCycles, 0u);
-    EXPECT_EQ(s.shardedTicks, 0u);
-}
 
 TEST(HostObs, SerialEngineCollectsRunWallOnly)
 {
-    const StreamResult r = runStream(
-        streamPoint(), chipWith(EngineKind::Serial, 0, true));
+    const StreamResult r = runStream(streamPoint(), chipWith(true));
     const HostObsSnapshot &s = r.host;
     ASSERT_TRUE(s.enabled);
     EXPECT_GT(s.runWallNanos, 0u);
-    EXPECT_EQ(s.shardedCycles, 0u);
-    EXPECT_EQ(s.deferredCommits, 0u);
-    EXPECT_EQ(s.detailedCycles, 0u);
     EXPECT_GT(s.peakRssKb, 0u);
+
+    const StreamResult off = runStream(streamPoint(), chipWith(false));
+    EXPECT_FALSE(off.host.enabled);
+    EXPECT_EQ(off.host.runWallNanos, 0u);
 }
 
 TEST(HostObs, SnapshotAddMergesRuns)
 {
     HostObsSnapshot a, b;
     a.enabled = true;
-    a.workers = 2;
-    a.worker.resize(2);
-    a.worker[0].ticks = 10;
-    a.worker[1].ticks = 20;
-    a.shardedTicks = 30;
     a.runWallNanos = 100;
+    a.peakRssKb = 700;
     b = a;
+    b.peakRssKb = 900;
     a.add(b);
-    EXPECT_EQ(a.workerTicks(), 60u);
-    EXPECT_EQ(a.shardedTicks, 60u);
+    EXPECT_TRUE(a.enabled);
     EXPECT_EQ(a.runWallNanos, 200u);
+    EXPECT_EQ(a.peakRssKb, 900u);
 }
 
 // ---------------------------------------------------------------------------
@@ -179,20 +103,13 @@ TEST(HostObs, SnapshotAddMergesRuns)
 
 TEST(HostObs, EnablingDoesNotChangeSimulatedResults)
 {
-    for (const bool sampled : {false, true}) {
-        const StreamResult off = runStream(
-            streamPoint(),
-            chipWith(EngineKind::Sharded, 2, false, sampled));
-        const StreamResult on = runStream(
-            streamPoint(),
-            chipWith(EngineKind::Sharded, 2, true, sampled));
-        EXPECT_EQ(off.simCycles, on.simCycles) << "sampled=" << sampled;
-        EXPECT_EQ(off.iterationCycles, on.iterationCycles);
-        EXPECT_EQ(off.instructions, on.instructions);
-        for (u32 c = 0; c <= arch::kNumCycleCats; ++c)
-            EXPECT_EQ(off.attr.value(c), on.attr.value(c))
-                << "attr cat " << c << " sampled=" << sampled;
-    }
+    const StreamResult off = runStream(streamPoint(), chipWith(false));
+    const StreamResult on = runStream(streamPoint(), chipWith(true));
+    EXPECT_EQ(off.simCycles, on.simCycles);
+    EXPECT_EQ(off.iterationCycles, on.iterationCycles);
+    EXPECT_EQ(off.instructions, on.instructions);
+    for (u32 c = 0; c <= arch::kNumCycleCats; ++c)
+        EXPECT_EQ(off.attr.value(c), on.attr.value(c)) << "attr cat " << c;
 }
 
 TEST(HostObs, GuestTraceBytesIdenticalWithHostObsOnOrOff)
@@ -200,7 +117,7 @@ TEST(HostObs, GuestTraceBytesIdenticalWithHostObsOnOrOff)
     // Guest-category traces must not contain host events (they live
     // behind TraceCat::Host) and must be byte-identical either way.
     auto traceWith = [&](bool hostObs) {
-        ChipConfig cfg = chipWith(EngineKind::Sharded, 2, hostObs);
+        ChipConfig cfg = chipWith(hostObs);
         cfg.obs.traceOut =
             tempPath(hostObs ? "hosttrace_on.json" : "hosttrace_off.json");
         cfg.obs.traceCats = u8(traceBit(TraceCat::Mem) |
@@ -218,7 +135,7 @@ TEST(HostObs, GuestTraceBytesIdenticalWithHostObsOnOrOff)
 TEST(HostObs, StatsJsonGainsHostSectionOnlyWhenEnabled)
 {
     auto statsWith = [&](bool hostObs) {
-        ChipConfig cfg = chipWith(EngineKind::Sharded, 2, hostObs);
+        ChipConfig cfg = chipWith(hostObs);
         cfg.obs.statsJson =
             tempPath(hostObs ? "hostobs_on.json" : "hostobs_off.json");
         runStream(streamPoint(), cfg);
@@ -229,8 +146,7 @@ TEST(HostObs, StatsJsonGainsHostSectionOnlyWhenEnabled)
     EXPECT_EQ(off.find("hostObs"), std::string::npos);
     EXPECT_NE(on.find("\"hostObs\""), std::string::npos);
     EXPECT_NE(on.find("\"host.runWallNanos\""), std::string::npos);
-    EXPECT_NE(on.find("\"host.w0.busyNanos\""), std::string::npos);
-    EXPECT_NE(on.find("\"host.w1.waitNanos\""), std::string::npos);
+    EXPECT_NE(on.find("\"host.peakRssKb\""), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,26 +155,24 @@ TEST(HostObs, StatsJsonGainsHostSectionOnlyWhenEnabled)
 
 TEST(HostObs, HostTraceEventsLandOnOwnProcess)
 {
-    ChipConfig cfg = chipWith(EngineKind::Sharded, 2, true);
+    ChipConfig cfg = chipWith(true);
     cfg.obs.traceOut = tempPath("hosttrace_host.json");
     cfg.obs.traceCats = kTraceAll;
     runStream(streamPoint(), cfg);
     const std::string json = slurp(cfg.obs.traceOut);
 
-    // Host process metadata, per-track names, and host-category spans.
+    // Host process metadata, the engine track, and service-window
+    // spans in the host category.
     EXPECT_NE(json.find("cyclops-host"), std::string::npos);
     EXPECT_NE(json.find("\"engine\""), std::string::npos);
-    EXPECT_NE(json.find("\"lane0\""), std::string::npos);
-    EXPECT_NE(json.find("\"lane1\""), std::string::npos);
     EXPECT_NE(json.find("\"cat\": \"host\""), std::string::npos);
-    EXPECT_NE(json.find("\"phaseA\""), std::string::npos);
-    EXPECT_NE(json.find("\"phaseB\""), std::string::npos);
+    EXPECT_NE(json.find("\"window\""), std::string::npos);
     EXPECT_NE(json.find("\"droppedHostEvents\": 0"), std::string::npos);
 }
 
 TEST(HostObs, NoHostTraceWithoutHostCat)
 {
-    ChipConfig cfg = chipWith(EngineKind::Sharded, 2, true);
+    ChipConfig cfg = chipWith(true);
     cfg.obs.traceOut = tempPath("hosttrace_guestonly.json");
     cfg.obs.traceCats = u8(traceBit(TraceCat::Mem));
     runStream(streamPoint(), cfg);
@@ -274,8 +188,7 @@ TEST(HostObs, ManifestWriterRoundTripsHeadlineFields)
 {
     const std::string path = tempPath("manifest.json");
     ChipConfig cfg;
-    cfg.engine.kind = EngineKind::Sharded;
-    cfg.engine.workers = 2;
+    cfg.obs.hostObs = true;
     RunManifest m;
     m.tool = "unit-test";
     m.workload = "stream \"quoted\"";
@@ -293,8 +206,8 @@ TEST(HostObs, ManifestWriterRoundTripsHeadlineFields)
     EXPECT_NE(json.find("\"tool\": \"unit-test\""), std::string::npos);
     EXPECT_NE(json.find("stream \\\"quoted\\\""), std::string::npos);
     EXPECT_NE(json.find("\"seed\": 42"), std::string::npos);
-    EXPECT_NE(json.find("\"engine\": \"sharded\""), std::string::npos);
-    EXPECT_NE(json.find("\"engineWorkers\": 2"), std::string::npos);
+    EXPECT_NE(json.find("\"hostObs\": true"), std::string::npos);
+    EXPECT_EQ(json.find("\"engine"), std::string::npos);
     EXPECT_NE(json.find("\"simCycles\": 1000"), std::string::npos);
     EXPECT_NE(json.find("\"exitReason\": \"allHalted\""),
               std::string::npos);
@@ -307,10 +220,8 @@ TEST(HostObs, ConfigHashTracksResultAffectingFieldsOnly)
     ChipConfig a, b;
     EXPECT_EQ(a.hash(), b.hash());
 
-    // Engine choice never changes results, so it never changes the
-    // hash (a sharded rerun of a serial manifest is comparable).
-    b.engine.kind = EngineKind::Sharded;
-    b.engine.workers = 8;
+    // Host telemetry never changes results, so it never changes the
+    // hash (an instrumented rerun of a manifest is comparable).
     b.obs.hostObs = true;
     EXPECT_EQ(a.hash(), b.hash());
 
@@ -323,10 +234,6 @@ TEST(HostObs, ConfigHashTracksResultAffectingFieldsOnly)
     EXPECT_NE(a.hash(), b.hash());
     b = ChipConfig{};
     b.fault.disabledTus.push_back(3);
-    EXPECT_NE(a.hash(), b.hash());
-    // Sampled-mode windows change simulated cycles, so they hash.
-    b = ChipConfig{};
-    b.engine.sampled = true;
     EXPECT_NE(a.hash(), b.hash());
 }
 

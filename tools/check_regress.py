@@ -8,10 +8,12 @@ BENCH_simperf.json reports (bench_simperf --json) or two run manifests
 (cyclops-manifest-v1, from cyclops-run --manifest or any bench's
 --manifest flag).
 
-For simperf reports every workload row is matched by name and every
-engine row by (name, workers); cyclesPerSec and mips must not drop by
-more than the tolerance. For manifests the headline run.cyclesPerSec
-and run.mips are compared.
+For simperf reports every workload row is matched by name; its
+cyclesPerSec and mips must not drop by more than the tolerance. A
+baseline from before the single-engine simulator still compares: its
+"engines" array is ignored and the workload rows it produced
+("engine_<name>") are skipped. For manifests the headline
+run.cyclesPerSec and run.mips are compared.
 
 Wall-clock noise is real, especially on small shared hosts, so the
 tolerance is noise-aware: the effective bound is
@@ -96,6 +98,13 @@ def baseline_cov(doc):
 def compare_simperf(base, cur, tolerance_pct):
     base_wl = {w["name"]: w for w in base.get("workloads", [])}
     cur_wl = {w["name"]: w for w in cur.get("workloads", [])}
+    # Reports from before the single-engine simulator also listed one
+    # "engine_<name>" workload row per entry of their "engines" array.
+    # Those engines no longer exist, so their rows are not compared.
+    retired = {f"engine_{e['name']}" for e in base.get("engines", [])}
+    for name in sorted(retired & base_wl.keys()):
+        report(f"skipping retired engine row '{name}'")
+        del base_wl[name]
     for name, bw in sorted(base_wl.items()):
         cw = cur_wl.get(name)
         if cw is None:
@@ -106,20 +115,7 @@ def compare_simperf(base, cur, tolerance_pct):
                        tolerance_pct)
         compare_metric(f"workload {name} mips",
                        bw["mips"], cw["mips"], tolerance_pct)
-
-    base_en = {(e["name"], e["workers"]): e
-               for e in base.get("engines", [])}
-    cur_en = {(e["name"], e["workers"]): e
-              for e in cur.get("engines", [])}
-    for key, be in sorted(base_en.items()):
-        ce = cur_en.get(key)
-        if ce is None:
-            regress(f"engine row {key[0]} (workers={key[1]}) "
-                    f"disappeared from the report")
-            continue
-        compare_metric(f"engine {key[0]} mips", be["mips"], ce["mips"],
-                       tolerance_pct)
-    return len(base_wl) + len(base_en)
+    return len(base_wl)
 
 
 def compare_manifest(base, cur, tolerance_pct):

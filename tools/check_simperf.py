@@ -2,15 +2,7 @@
 """Validate a BENCH_simperf.json report.
 
 Checks the schema (top-level fields, workload entries including the
-required multi-chip fabric row, the cycle-attribution breakdown) and
-the cycle-engine comparison invariants:
-  - the engines list contains the serial reference, the sharded engine
-    at 1/2/4/8 workers, and the sampled engine;
-  - every sharded row reproduced the serial engine's simulated cycle
-    and instruction counts exactly (the determinism contract of
-    DESIGN.md section 14);
-  - samplingErrorPct (sampled vs serial simulated cycles) is within
-    bounds (default 5%, --max-sampling-error);
+required multi-chip fabric row, the cycle-attribution breakdown) and:
   - wall-clock sanity: every measurement ran for a positive time and
     positive throughput;
   - the profiler-overhead experiment used enough repeats (>= 5) and
@@ -29,36 +21,16 @@ the cycle-engine comparison invariants:
     fast path) obeys the same gates — simCyclesDrift exactly zero,
     bounded overheadPct — so arming fault injection is proven to be
     a host-cost-only change;
-  - the hostObs section is well-formed: a sharded row per worker
-    count with per-worker lanes whose tick/defer counts sum exactly
-    to the engine totals, and the sampled window split covering every
-    simulated cycle.
-
-Speedup assertions are gated on the recorded hostCores: on hosts with
-fewer than 4 cores the sharded rows measure synchronization overhead,
-not parallelism, so only the structural checks apply. With 4+ cores
-the sharded engine at 4 workers must not be slower than 60% of serial
-throughput (a loose floor — wall-clock noise is real), and with
---require-speedup it must beat serial outright.
+  - the hostObs section is well-formed (enough overhead repeats, a
+    positive peak RSS).
 """
 
 import argparse
 import json
 import sys
 
-EXPECTED_ENGINES = (
-    ("serial", 0),
-    ("sharded_w1", 1),
-    ("sharded_w2", 2),
-    ("sharded_w4", 4),
-    ("sharded_w8", 8),
-    ("sampled", 0),
-)
-
 WORKLOAD_FIELDS = ("name", "simCycles", "instructions", "wallSeconds",
                    "cyclesPerSec", "mips", "attribution")
-ENGINE_FIELDS = ("name", "workers", "simCycles", "instructions",
-                 "wallSeconds", "mips", "speedup")
 
 
 def fail(msg):
@@ -110,55 +82,6 @@ def check_workload(i, w):
             fail(f"{where}: fabric flit conservation violated")
 
 
-def check_engines(report, args):
-    engines = report.get("engines")
-    if not isinstance(engines, list):
-        fail("missing 'engines' array")
-    rows = {}
-    for i, e in enumerate(engines):
-        for field in ENGINE_FIELDS:
-            if field not in e:
-                fail(f"engine row {i}: missing field '{field}'")
-        rows[(e["name"], e["workers"])] = e
-    for key in EXPECTED_ENGINES:
-        if key not in rows:
-            fail(f"engines: missing row {key[0]} (workers={key[1]})")
-
-    serial = rows[("serial", 0)]
-    if serial["simCycles"] <= 0 or serial["instructions"] <= 0:
-        fail("serial engine row has no work")
-
-    # Determinism: sharded == serial, exactly, at every worker count.
-    for name, workers in EXPECTED_ENGINES:
-        if not name.startswith("sharded"):
-            continue
-        row = rows[(name, workers)]
-        for field in ("simCycles", "instructions"):
-            if row[field] != serial[field]:
-                fail(f"{name}: {field} {row[field]} != serial "
-                     f"{serial[field]} — sharded engine diverged")
-
-    err = report.get("samplingErrorPct")
-    if not isinstance(err, (int, float)) or err < 0:
-        fail("samplingErrorPct missing or negative")
-    if err > args.max_sampling_error:
-        fail(f"samplingErrorPct {err:.2f} exceeds bound "
-             f"{args.max_sampling_error:.2f}")
-
-    cores = report.get("hostCores")
-    if not isinstance(cores, int) or cores < 0:
-        fail("hostCores missing or negative")
-    if cores >= 4:
-        w4 = rows[("sharded_w4", 4)]
-        if w4["speedup"] < 0.6:
-            fail(f"sharded_w4 speedup {w4['speedup']:.2f} below 0.6 "
-                 f"on a {cores}-core host")
-        if args.require_speedup and w4["speedup"] < 1.0:
-            fail(f"sharded_w4 speedup {w4['speedup']:.2f} < 1.0 "
-                 f"on a {cores}-core host (--require-speedup)")
-    return len(engines), err, cores
-
-
 def check_overhead(name, overhead, args):
     """A median-of-repeats A/B experiment (profiler or host obs)."""
     if not isinstance(overhead, dict):
@@ -181,7 +104,7 @@ def check_overhead(name, overhead, args):
                  f"the overhead measurement")
 
 
-def check_hostobs(report, args):
+def check_hostobs(report):
     obs = report.get("hostObs")
     if not isinstance(obs, dict):
         fail("missing 'hostObs' object")
@@ -195,44 +118,10 @@ def check_hostobs(report, args):
     if obs["peakRssKb"] <= 0:
         fail("hostObs: peakRssKb must be positive")
 
-    sampled = obs.get("sampled")
-    if not isinstance(sampled, dict):
-        fail("hostObs: missing 'sampled' window accounting")
-    for field in ("detailedCycles", "functionalCycles", "warmAccesses"):
-        if not isinstance(sampled.get(field), int) or sampled[field] < 0:
-            fail(f"hostObs: sampled.{field} must be a nonneg integer")
-
-    sharded = obs.get("sharded")
-    if not isinstance(sharded, list) or not sharded:
-        fail("hostObs: missing 'sharded' rows")
-    for row in sharded:
-        name = row.get("name", "?")
-        for field in ("workers", "wallSeconds", "shardedTicks",
-                      "deferredCommits", "gapExplainedPct", "perWorker"):
-            if field not in row:
-                fail(f"hostObs {name}: missing field '{field}'")
-        lanes = row["perWorker"]
-        if not isinstance(lanes, list):
-            fail(f"hostObs {name}: perWorker must be a list")
-        # Per-lane tallies are exact (each lane is written only by its
-        # owning worker thread): the sums must reproduce the engine
-        # totals with no slack at all.
-        ticks = sum(l.get("ticks", 0) for l in lanes)
-        defers = sum(l.get("defers", 0) for l in lanes)
-        if ticks != row["shardedTicks"]:
-            fail(f"hostObs {name}: per-worker ticks {ticks} != "
-                 f"shardedTicks {row['shardedTicks']}")
-        if defers != row["deferredCommits"]:
-            fail(f"hostObs {name}: per-worker defers {defers} != "
-                 f"deferredCommits {row['deferredCommits']}")
-    return len(sharded)
-
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report", help="BENCH_simperf.json path")
-    parser.add_argument("--max-sampling-error", type=float, default=5.0,
-                        help="samplingErrorPct bound (default 5.0)")
     parser.add_argument("--max-cov", type=float, default=50.0,
                         help="max run-to-run coefficient of variation "
                              "percent in overhead experiments "
@@ -242,9 +131,6 @@ def main():
                         help="max fabric-observability host overhead "
                              "percent (default 10.0; design target is "
                              "under 2 on a quiet host)")
-    parser.add_argument("--require-speedup", action="store_true",
-                        help="require sharded_w4 to beat serial "
-                             "(only meaningful on 4+ core hosts)")
     args = parser.parse_args()
 
     try:
@@ -294,11 +180,8 @@ def main():
         fail(f"fabricFaultOverhead: overheadPct "
              f"{fault_oh['overheadPct']:.2f} exceeds "
              f"--max-fabric-overhead {args.max_fabric_overhead:.2f}")
-    nshard = check_hostobs(report, args)
-    nengines, err, cores = check_engines(report, args)
-    print(f"check_simperf: OK: {len(workloads)} workloads, "
-          f"{nengines} engine rows, {nshard} host-obs sharded rows, "
-          f"sampling error {err:.2f}%, {cores}-core host")
+    check_hostobs(report)
+    print(f"check_simperf: OK: {len(workloads)} workloads")
 
 
 if __name__ == "__main__":

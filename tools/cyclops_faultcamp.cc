@@ -59,7 +59,6 @@ usage(const char *argv0, const char *why)
                  "       [--kind register|memory|cacheLine|link]\n"
                  "       [--max-cycles N] [--watchdog N] [--jobs N] "
                  "[--out FILE]\n"
-                 "       [--engine serial|sharded] [--engine-workers N]\n"
                  "       [--stats-json P] [--stats-csv P] "
                  "[--stats-interval N]\n"
                  "       [--trace-out P] [--trace-cats LIST] "
@@ -126,14 +125,6 @@ main(int argc, char **argv)
             numArg(&opts.watchdogCycles);
         } else if (std::strcmp(arg, "--jobs") == 0) {
             numArg(&jobs);
-        } else if (std::strcmp(arg, "--engine") == 0 && i + 1 < argc) {
-            if (!parseEngineKind(argv[++i], &opts.engine.kind))
-                return usage(argv[0],
-                             strprintf("--engine: unknown engine '%s'",
-                                       argv[i]).c_str());
-        } else if (std::strcmp(arg, "--engine-workers") == 0) {
-            numArg(&v);
-            opts.engine.workers = u32(v);
         } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
             outPath = argv[++i];
         } else if (std::strcmp(arg, "--stats-json") == 0 &&

@@ -41,7 +41,6 @@ usage(const char *argv0)
     std::fprintf(stderr,
                  "usage: %s [--seed N] [--iters N] [--threads N] "
                  "[--no-shrink] [--verbose]\n"
-                 "       [--engine serial|sharded] [--engine-workers N]\n"
                  "       [--mutate add-off-by-one|sltu-flipped|"
                  "lb-zero-extends]\n"
                  "       [--stats-json P] [--stats-csv P] "
@@ -75,12 +74,6 @@ main(int argc, char **argv)
             opts.shrinkOnFail = true;
         } else if (std::strcmp(argv[i], "--verbose") == 0) {
             opts.verbose = true;
-        } else if (std::strcmp(argv[i], "--engine") == 0 && i + 1 < argc) {
-            if (!parseEngineKind(argv[++i], &opts.engine.kind))
-                usage(argv[0]);
-        } else if (std::strcmp(argv[i], "--engine-workers") == 0 &&
-                   i + 1 < argc) {
-            opts.engine.workers = u32(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--stats-json") == 0 &&
                    i + 1 < argc) {
             opts.obs.statsJson = argv[++i];

@@ -40,13 +40,6 @@
  *   --fabric-fault-at N    apply the fault map mid-run at cycle N
  *                          (default 0: degraded from the first cycle)
  *
- * Engine selection (DESIGN.md section 14; same results, faster host):
- *   --engine serial|sharded  cycle engine (default serial)
- *   --engine-workers N       sharded-engine host workers (0 = auto)
- *   --engine-sampled         fast-functional + sampled-timing mode
- *   --sample-period N        sampling period in cycles
- *   --sample-detail N        detailed-window length in cycles
- *
  * Observability (DESIGN.md section 10):
  *   --stats-json out.json    end-of-run counters/histograms as JSON
  *   --stats-csv out.csv      epoch-sampled counter time-series as CSV
@@ -71,7 +64,7 @@
  *   --host-obs               host-side simulator telemetry: hostObs
  *                            section in --stats-json, host process in
  *                            --trace-out (DESIGN.md section 15)
- *   --manifest out.json      per-run manifest (config hash, engine,
+ *   --manifest out.json      per-run manifest (config hash,
  *                            git describe, headline counters) for
  *                            tools/check_regress.py
  *
@@ -124,9 +117,6 @@ usage(const char *argv0)
                  "[--disable-bank N]\n"
                  "       [--cache-ways N] [--watchdog N] "
                  "[--timeout-seconds N]\n"
-                 "       [--engine serial|sharded] [--engine-workers N]\n"
-                 "       [--engine-sampled] [--sample-period N] "
-                 "[--sample-detail N]\n"
                  "       [--stats-json P] [--stats-csv P] "
                  "[--stats-interval N]\n"
                  "       [--trace-out P] [--trace-cats LIST] "
@@ -348,7 +338,6 @@ main(int argc, char **argv)
     u64 timeoutSeconds = 0;
     ObsConfig obs;
     FaultConfig faultCfg;
-    EngineConfig engineCfg;
     std::string manifestPath;
     u32 chipDims[3] = {0, 0, 0};
     bool mesh = false;
@@ -398,19 +387,6 @@ main(int argc, char **argv)
             faultCfg.watchdogCycles = num();
         } else if (std::strcmp(arg, "--timeout-seconds") == 0) {
             timeoutSeconds = num();
-        } else if (std::strcmp(arg, "--engine") == 0 && i + 1 < argc) {
-            if (!parseEngineKind(argv[++i], &engineCfg.kind))
-                argError(argv[0],
-                         strprintf("--engine: unknown engine '%s' "
-                                   "(serial, sharded)", argv[i]));
-        } else if (std::strcmp(arg, "--engine-workers") == 0) {
-            engineCfg.workers = u32(num());
-        } else if (std::strcmp(arg, "--engine-sampled") == 0) {
-            engineCfg.sampled = true;
-        } else if (std::strcmp(arg, "--sample-period") == 0) {
-            engineCfg.samplePeriod = u32(num());
-        } else if (std::strcmp(arg, "--sample-detail") == 0) {
-            engineCfg.sampleDetail = u32(num());
         } else if (std::strcmp(arg, "--stats-json") == 0 &&
                    i + 1 < argc) {
             obs.statsJson = argv[++i];
@@ -538,7 +514,6 @@ main(int argc, char **argv)
     ChipConfig chipCfg;
     chipCfg.obs = obs;
     chipCfg.fault = faultCfg;
-    chipCfg.engine = engineCfg;
     // A bad configuration (fault map out of range, no surviving cache,
     // ...) is a user error: report it structurally, don't abort.
     if (const std::string err = chipCfg.check(); !err.empty())

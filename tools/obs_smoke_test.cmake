@@ -31,13 +31,12 @@ if(NOT check_rc EQUAL 0)
 endif()
 message(STATUS "${check_out}")
 
-# Second run under the sharded engine with host telemetry on: the
-# trace must gain the pid-2 cyclops-host process (validated by
-# --expect-host) next to the guest timelines, and the stats JSON the
-# host.* gauges; the run manifest must round-trip as valid JSON too.
+# Second run with host telemetry on: the trace must gain the pid-2
+# cyclops-host process (validated by --expect-host) next to the guest
+# timelines, and the stats JSON the host.* gauges; the run manifest
+# must round-trip as valid JSON too.
 execute_process(
     COMMAND ${RUNNER} -t 8 --host-obs
-        --engine sharded --engine-workers 2
         --trace-out ${WORK_DIR}/host_trace.json --trace-cats all
         --stats-json ${WORK_DIR}/host_stats.json
         --manifest ${WORK_DIR}/manifest.json

@@ -1,8 +1,7 @@
 # CTest script: run the host-throughput benchmark in quick mode and
-# validate BENCH_simperf.json — schema, sharded-engine determinism
-# (simulated cycles identical to serial at every worker count) and the
-# sampled-engine error bound — with check_simperf.py. Speedup floors
-# apply only on hosts with enough cores (see the checker).
+# validate BENCH_simperf.json with check_simperf.py — schema, the
+# multi-chip fabric row, and the overhead experiments' repeat, noise
+# and zero-drift gates.
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
