@@ -35,8 +35,7 @@
  *                         section in stats JSON, host Chrome-trace
  *                         process; DESIGN.md section 15)
  *   --manifest PATH       per-run JSON manifest (config hash,
- *                         git describe, wall time) for
- *                         tools/check_regress.py
+ *                         git describe, wall time)
  * Paths may contain "%t", replaced by a per-sweep-point tag so
  * concurrent simulation points never share an output file.
  *

@@ -18,8 +18,8 @@
  *
  * Also home to the versioned per-run manifest (RunManifest): one small
  * JSON per run with config hash, seed, git describe, host info and
- * headline counters, so tools/check_regress.py can compare runs across
- * commits without scraping logs.
+ * headline counters, so one run's outputs can be identified later
+ * without scraping logs.
  */
 
 #ifndef CYCLOPS_COMMON_HOSTOBS_H

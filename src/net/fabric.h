@@ -31,8 +31,9 @@
  * with exponential backoff) re-sends corrupted packets. Both are pure
  * functions of (topology, fault map, injection sequence), so degraded
  * runs remain bit-reproducible. When the map is empty every code path
- * and cycle of the fault-free fabric is unchanged (bench_simperf pins
- * simCyclesDrift == 0).
+ * and cycle of the fault-free fabric is unchanged, and a benign map
+ * (flaky at ppm 0) is timing-identical to no map at all
+ * (FabricFault.BenignMapMatchesHealthyTimingExactly).
  *
  * Observability (DESIGN.md section 17): every directed link that
  * physically exists carries its own telemetry — flits forwarded, busy

@@ -90,7 +90,7 @@ struct StreamResult
     double perThreadMBs = 0;    ///< average per-thread bandwidth, MB/s
     bool verified = false;      ///< numerical result checked
 
-    // Host-throughput accounting (bench_simperf): totals over both
+    // Host-throughput accounting (perfbench/): totals over both
     // timed runs of the differencing scheme.
     u64 simCycles = 0;          ///< simulated chip cycles executed
     u64 instructions = 0;       ///< guest instructions executed

@@ -201,8 +201,9 @@ TEST(FabricFault, BenignMapMatchesHealthyTimingExactly)
 {
     // A fault map that degrades nothing (flaky with ppm 0): the fault
     // model is armed and active, but every delivery cycle must equal
-    // the healthy fabric's bit for bit — the zero-simulated-overhead
-    // property bench_simperf's fabricFaultOverhead row pins down.
+    // the healthy fabric's bit for bit. Arming the fault model is a
+    // host-cost-only change; the end-to-end halo leg below checks the
+    // same property on a whole multi-chip run.
     FabricConfig healthy;
     healthy.net = shape(2, 2, 2, true);
     Fabric clean(healthy);
@@ -231,6 +232,21 @@ TEST(FabricFault, BenignMapMatchesHealthyTimingExactly)
     EXPECT_EQ(armed.rerouted(), 0u);
     EXPECT_EQ(armed.crcErrors(), 0u);
     EXPECT_EQ(clean.queueCycles(), armed.queueCycles());
+
+    // End to end: a 2x2x1 halo exchange with and without the benign
+    // map must take the same cycles, retire the same instructions and
+    // leave the same memory and fabric counters behind.
+    MultiChipConfig mc;
+    mc.words = 64;
+    mc.iters = 4;
+    const MultiChipResult healthyRun = workloads::runHaloExchange(mc);
+    mc.faults.links = {flakyLink(0, 1, 0)};
+    const MultiChipResult benignRun = workloads::runHaloExchange(mc);
+    EXPECT_TRUE(healthyRun.verified);
+    EXPECT_TRUE(benignRun.verified);
+    EXPECT_EQ(healthyRun.cycles, benignRun.cycles);
+    EXPECT_EQ(healthyRun.instructions, benignRun.instructions);
+    EXPECT_EQ(healthyRun.fingerprint, benignRun.fingerprint);
 }
 
 TEST(FabricFault, RetryExhaustionAbandonsMessage)

@@ -73,12 +73,20 @@ drive(Fabric &fabric, u32 n)
     fabric.drain();
 }
 
-/** Render a StatGroup through writeStatsJson and return the text. */
+/**
+ * Render a StatGroup through writeStatsJson and return the text. The
+ * file is named after the running test: ctest runs each test as its
+ * own process, so a shared name would let concurrent tests overwrite
+ * each other's output.
+ */
 std::string
 statsJsonOf(const StatGroup &stats, Cycle cycles,
             const EpochSampler *sampler = nullptr)
 {
-    const std::string path = tempPath("fabric_obs_stats.json");
+    const std::string path = tempPath(
+        std::string("fabric_obs_stats_") +
+        testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".json");
     std::FILE *f = std::fopen(path.c_str(), "w");
     EXPECT_NE(f, nullptr);
     writeStatsJson(f, stats, cycles, sampler);

@@ -181,6 +181,22 @@ struct World
     {}
 };
 
+/**
+ * A guest that spins loading one address forever. The address is a
+ * coroutine parameter, so it lives in the coroutine frame: a capturing
+ * coroutine lambda would read it through a closure that spawn() has
+ * already destroyed.
+ */
+struct LoadSpin
+{
+    static exec::GuestTask
+    run(exec::GuestCtx &ctx, Addr flag)
+    {
+        for (;;)
+            co_await ctx.load(flag, 8); // same address, same value
+    }
+};
+
 } // namespace
 
 TEST(RunExitExec, AllHalted)
@@ -208,9 +224,8 @@ TEST(RunExitExec, WatchdogCatchesLoadSpin)
     cfg.fault.watchdogCycles = 20'000;
     World w(cfg);
     const Addr flag = igAddr(kIgDefault, w.engine.heap().alloc(64, 64));
-    w.engine.spawn(2, [&](exec::GuestCtx &ctx) -> exec::GuestTask {
-        for (;;)
-            co_await ctx.load(flag, 8); // same address, same value
+    w.engine.spawn(2, [&](exec::GuestCtx &ctx) {
+        return LoadSpin::run(ctx, flag);
     });
     const RunExit exit = w.engine.run(10'000'000);
     ASSERT_EQ(exit, RunExit::Watchdog);
@@ -241,9 +256,8 @@ TEST(RunExitExec, SignalStopsRun)
     clearRunStop();
     World w;
     const Addr flag = igAddr(kIgDefault, w.engine.heap().alloc(64, 64));
-    w.engine.spawn(1, [&](exec::GuestCtx &ctx) -> exec::GuestTask {
-        for (;;)
-            co_await ctx.load(flag, 8);
+    w.engine.spawn(1, [&](exec::GuestCtx &ctx) {
+        return LoadSpin::run(ctx, flag);
     });
     requestRunStop(SIGTERM);
     const RunExit exit = w.engine.run(10'000'000);

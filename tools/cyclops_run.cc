@@ -65,8 +65,7 @@
  *                            section in --stats-json, host process in
  *                            --trace-out (DESIGN.md section 15)
  *   --manifest out.json      per-run manifest (config hash,
- *                            git describe, headline counters) for
- *                            tools/check_regress.py
+ *                            git describe, headline counters)
  *
  * Threads start at the `start` label (or address 0) with the kernel's
  * register conventions: r1 = stack pointer, r4 = software thread
