@@ -395,9 +395,11 @@ Chip::run(Cycle maxCycles)
         // Rotate service order every cycle: round-robin arbitration of
         // shared resources among same-cycle requesters.
         const size_t n = due_.size();
-        const size_t start = n > 1 ? size_t(now_ % n) : 0;
+        size_t pos = n > 1 ? size_t(now_ % n) : 0;
         for (size_t i = 0; i < n; ++i) {
-            const ThreadId tid = due_[(start + i) % n];
+            const ThreadId tid = due_[pos];
+            if (++pos == n)
+                pos = 0;
             Unit *u = units_[tid].get();
             const Cycle wake = u->tick(now_);
             if (wake == kCycleNever) {

@@ -310,11 +310,9 @@ System::applyDeliveries(Cycle upTo)
     // Total (delivered, seq) order: a flag stored after its payload on
     // the same path has a later delivery cycle (per-link FIFO), so it
     // is applied after — the cross-chip ordering guests rely on.
-    while (!pending_.empty() && pending_.top().delivered <= upTo) {
-        const PendingStore &p = pending_.top();
+    pending_.popUpTo(upTo, [this](const PendingStore &p) {
         chips_[p.dstChip]->writePhys(p.pa, &p.value, p.bytes);
-        pending_.pop();
-    }
+    });
     fabric_.advance(upTo);
 }
 

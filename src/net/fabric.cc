@@ -80,6 +80,10 @@ Fabric::Fabric(const FabricConfig &cfg) : cfg_(cfg), topo_(cfg.net)
     pairFlits_.assign(size_t(chips) * chips, 0);
     pairLinkFlits_.assign(size_t(chips) * chips, 0);
     pairInOrder_.assign(size_t(chips) * chips, 0);
+    routeCache_.assign(size_t(chips) * chips, {});
+    routeKnown_.assign(size_t(chips) * chips, 0);
+    pairRerouted_.assign(size_t(chips) * chips, 0);
+    ledger_.assign(kLedgerCycles, {});
     stats_.addCounter("fabric.messages", &messages_);
     stats_.addCounter("fabric.bytes", &bytesMoved_);
     stats_.addCounter("fabric.queueCycles", &queueCycles_);
@@ -201,10 +205,10 @@ Fabric::applyFaultMap()
 }
 
 /**
- * Route for a pair under the active fault map, cached: the DOR path
- * when it crosses no dead link, else the relaxed-dimension-order
- * minimal path, else the breadth-first detour. An empty cached path
- * means the destination is unreachable (partition).
+ * Route for a pair, cached: the DOR path when it crosses no dead link
+ * (always, while no fault map is active), else the relaxed-dimension-
+ * order minimal path, else the breadth-first detour. An empty cached
+ * path means the destination is unreachable (partition).
  */
 const std::vector<std::pair<u32, Dir>> &
 Fabric::routeFor(u32 src, u32 dst)
@@ -215,7 +219,7 @@ Fabric::routeFor(u32 src, u32 dst)
         auto dor = topo_.route(src, dst);
         bool blocked = false;
         for (const auto &[chip, dir] : dor) {
-            if (deadLink_[linkIndex(chip, dir)]) {
+            if (faultsActive_ && deadLink_[linkIndex(chip, dir)]) {
                 blocked = true;
                 break;
             }
@@ -369,6 +373,19 @@ Fabric::transmit(Cycle start,
     return flits;
 }
 
+void
+Fabric::addInFlight(Cycle at, u64 flits, bool dropped)
+{
+    // A cycle behind the base wraps to a huge distance: far.
+    if (at - ledgerBase_ < kLedgerCycles) {
+        LedgerSlot &slot = ledger_[at & (kLedgerCycles - 1)];
+        (dropped ? slot.dropped : slot.delivered) += flits;
+        ledgerFlits_ += flits;
+    } else {
+        farFlights_.push({at, flits, dropped});
+    }
+}
+
 Delivery
 Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
 {
@@ -385,19 +402,11 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
     pairBytes_[pi] += bytes;
 
     const u64 flow = msgSeq_++;
-    const std::vector<std::pair<u32, Dir>> *path = nullptr;
-    std::vector<std::pair<u32, Dir>> dorPath;
-    if (faultsActive_) {
-        const auto &cached = routeFor(src, dst);
-        if (cached.empty())
-            return injectUnroutable(now, src, dst);
-        if (pairRerouted_[pi])
-            ++rerouted_;
-        path = &cached;
-    } else {
-        dorPath = topo_.route(src, dst);
-        path = &dorPath;
-    }
+    const std::vector<std::pair<u32, Dir>> &path = routeFor(src, dst);
+    if (path.empty())
+        return injectUnroutable(now, src, dst);
+    if (pairRerouted_[pi])
+        ++rerouted_;
 
     const Cycle perHop = cfg_.net.routerLatency + cfg_.net.linkLatency;
     Delivery d{now, now};
@@ -408,14 +417,14 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
         bool escaped = false;
         Cycle accepted = attemptStart;
         Cycle delivered = attemptStart;
-        const u64 flits = transmit(attemptStart, *path, bytes, flow,
+        const u64 flits = transmit(attemptStart, path, bytes, flow,
                                    &accepted, &delivered, &corrupt,
                                    &escaped);
         flitsInjected_ += flits;
         flitsInjectedStat_ += flits;
         flitsInFlight_ += flits;
         pairFlits_[pi] += flits;
-        pairLinkFlits_[pi] += flits * path->size();
+        pairLinkFlits_[pi] += flits * path.size();
         if (attempt == 0)
             d.accepted = accepted;
         d.retries = attempt;
@@ -428,7 +437,7 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
             if (faultsActive_)
                 delivered = std::max(delivered, pairInOrder_[pi]);
             pairInOrder_[pi] = std::max(pairInOrder_[pi], delivered);
-            inflight_.push({delivered, flits, false});
+            addInFlight(delivered, flits, false);
             d.delivered = delivered;
             d.corrupted = corrupt && escaped;
             break;
@@ -436,7 +445,7 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
         // The checksum caught the corruption: the receiver NACKs and
         // the whole attempt's flits retire into the dropped ledger.
         ++crcErrors_;
-        inflight_.push({delivered, flits, true});
+        addInFlight(delivered, flits, true);
         if (attempt >= cfg_.maxRetries) {
             d.ok = false;
             d.delivered = delivered;
@@ -446,7 +455,7 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
         ++retries_;
         // NACK flight time back to the sender (uncontended control
         // channel), then exponential backoff before the retransmit.
-        const Cycle nack = delivered + Cycle(path->size()) * perHop + 1;
+        const Cycle nack = delivered + Cycle(path.size()) * perHop + 1;
         attemptStart = nack + backoff(attempt);
         ++attempt;
     }
@@ -465,18 +474,34 @@ Fabric::advance(Cycle at)
 {
     if (faultsArmed_ && at != kCycleNever && at >= cfg_.faults.atCycle)
         applyFaultMap();
-    while (!inflight_.empty() && inflight_.top().at <= at) {
-        const Flight f = inflight_.top();
-        inflight_.pop();
-        flitsInFlight_ -= f.flits;
-        if (f.dropped) {
-            flitsDropped_ += f.flits;
-            flitsDroppedStat_ += f.flits;
-        } else {
-            flitsDelivered_ += f.flits;
-            flitsDeliveredStat_ += f.flits;
-        }
+    u64 delivered = 0;
+    u64 dropped = 0;
+    while (!farFlights_.empty() && farFlights_.top().at <= at) {
+        const Flight &f = farFlights_.top();
+        (f.dropped ? dropped : delivered) += f.flits;
+        farFlights_.pop();
     }
+    if (at >= ledgerBase_) {
+        const Cycle span = at - ledgerBase_;
+        const Cycle n = span >= kLedgerCycles ? kLedgerCycles : span + 1;
+        for (Cycle i = 0; i < n && ledgerFlits_ != 0; ++i) {
+            LedgerSlot &slot =
+                ledger_[(ledgerBase_ + i) & (kLedgerCycles - 1)];
+            delivered += slot.delivered;
+            dropped += slot.dropped;
+            ledgerFlits_ -= slot.delivered + slot.dropped;
+            slot = {};
+        }
+        // A drain leaves the base where it is: the ring is empty, and
+        // at + 1 would wrap.
+        if (at != kCycleNever)
+            ledgerBase_ = at + 1;
+    }
+    flitsInFlight_ -= delivered + dropped;
+    flitsDelivered_ += delivered;
+    flitsDeliveredStat_ += delivered;
+    flitsDropped_ += dropped;
+    flitsDroppedStat_ += dropped;
     // Anchor for the occupancy gauges: backlog is whatever work each
     // link still holds beyond the cycle the system has advanced to.
     if (at != kCycleNever)

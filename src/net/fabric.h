@@ -30,8 +30,8 @@
  * detour; an end-to-end retry layer (checksum + NACK + retransmit
  * with exponential backoff) re-sends corrupted packets. Both are pure
  * functions of (topology, fault map, injection sequence), so degraded
- * runs remain bit-reproducible. When the map is empty every code path
- * and cycle of the fault-free fabric is unchanged, and a benign map
+ * runs remain bit-reproducible. When the map is empty every cycle of
+ * the fault-free fabric is unchanged, and a benign map
  * (flaky at ppm 0) is timing-identical to no map at all
  * (FabricFault.BenignMapMatchesHealthyTimingExactly).
  *
@@ -289,6 +289,7 @@ class Fabric
     void checkConservation(Cycle at) const;
     void applyFaultMap();
     const std::vector<std::pair<u32, Dir>> &routeFor(u32 src, u32 dst);
+    void addInFlight(Cycle at, u64 flits, bool dropped);
     Delivery injectUnroutable(Cycle now, u32 src, u32 dst);
     bool drawCorrupt(u32 linkIdx, bool *escaped);
     Cycle backoff(u32 attempt) const;
@@ -308,9 +309,18 @@ class Fabric
     Topology topo_;
     std::vector<Cycle> linkFree_; ///< chip x direction reservation
 
-    // Min-heap of in-flight transmissions for advance()/drain().
+    // In-flight flits for advance()/drain(), by the cycle they retire.
     // Dropped attempts (corrupted, NACKed) stay in flight until their
-    // traversal completes, then retire into the dropped ledger.
+    // traversal completes, then retire into the dropped ledger. Cycles
+    // in [ledgerBase_, ledgerBase_ + kLedgerCycles) keep one slot of
+    // per-cycle sums in a ring; anything else (beyond the horizon, or
+    // behind the base) goes to the farFlights_ heap.
+    static constexpr u32 kLedgerCycles = 1024;
+    struct LedgerSlot
+    {
+        u64 delivered = 0;
+        u64 dropped = 0;
+    };
     struct Flight
     {
         Cycle at = 0;
@@ -318,9 +328,12 @@ class Fabric
         bool dropped = false;
         bool operator>(const Flight &o) const { return at > o.at; }
     };
+    std::vector<LedgerSlot> ledger_;  ///< cycle c in slot c % kLedgerCycles
+    Cycle ledgerBase_ = 0;            ///< first cycle not yet retired
+    u64 ledgerFlits_ = 0;             ///< flits held in the ring
     std::priority_queue<Flight, std::vector<Flight>,
                         std::greater<Flight>>
-        inflight_;
+        farFlights_;
     u64 flitsInjected_ = 0;
     u64 flitsDelivered_ = 0;
     u64 flitsInFlight_ = 0;
@@ -346,8 +359,9 @@ class Fabric
     std::vector<u32> derate_;
     std::vector<u64> linkPktSeq_; ///< per-link corruption-draw stream
 
-    // Route cache: pure function of (topology, fault map), rebuilt on
-    // fault application. An empty cached path means unreachable.
+    // Route cache, one path per pair, used with and without a fault
+    // map: a pure function of (topology, fault map), rebuilt on fault
+    // application. An empty cached path means unreachable.
     std::vector<std::vector<std::pair<u32, Dir>>> routeCache_;
     std::vector<u8> routeKnown_;
     std::vector<u8> pairRerouted_;

@@ -26,6 +26,12 @@ Topology::Topology(const NetConfig &cfg) : cfg_(cfg)
         fatal("fabric link parameters must be nonzero");
     linkFree_.assign(size_t(cfg.numChips()) * kNumDirs, 0);
     hostFree_.assign(cfg.numChips(), 0);
+    coords_.resize(cfg.numChips());
+    for (u32 chip = 0; chip < cfg.numChips(); ++chip) {
+        coords_[chip].x = chip % cfg.dimX;
+        coords_[chip].y = (chip / cfg.dimX) % cfg.dimY;
+        coords_[chip].z = chip / (cfg.dimX * cfg.dimY);
+    }
     stats_.addCounter("net.messages", &messages_);
     stats_.addCounter("net.bytes", &bytesMoved_);
     stats_.addCounter("net.queueCycles", &queueCycles_);
@@ -43,13 +49,9 @@ Topology::chipAt(Coord c) const
 Coord
 Topology::coordOf(u32 chip) const
 {
-    if (chip >= cfg_.numChips())
+    if (chip >= coords_.size())
         fatal("no chip %u in a %u-chip system", chip, cfg_.numChips());
-    Coord c;
-    c.x = chip % cfg_.dimX;
-    c.y = (chip / cfg_.dimX) % cfg_.dimY;
-    c.z = chip / (cfg_.dimX * cfg_.dimY);
-    return c;
+    return coords_[chip];
 }
 
 s32
@@ -90,7 +92,21 @@ Topology::route(u32 src, u32 dst) const
 u32
 Topology::hops(u32 src, u32 dst) const
 {
-    return u32(route(src, dst).size());
+    // route()'s walk without the path: each axis takes the distance
+    // step() walks, which on a torus is the shorter way around.
+    // coordOf() rejects endpoints outside the system.
+    const Coord a = coordOf(src);
+    const Coord b = coordOf(dst);
+    auto axis = [&](u32 from, u32 to, u32 dim) {
+        if (from == to)
+            return 0u;
+        if (!cfg_.torus)
+            return to > from ? to - from : from - to;
+        const u32 forward = to > from ? to - from : to + dim - from;
+        return std::min(forward, dim - forward);
+    };
+    return axis(a.x, b.x, cfg_.dimX) + axis(a.y, b.y, cfg_.dimY) +
+           axis(a.z, b.z, cfg_.dimZ);
 }
 
 u32

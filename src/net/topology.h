@@ -121,7 +121,8 @@ class Topology
      */
     std::vector<std::pair<u32, Dir>> route(u32 src, u32 dst) const;
 
-    /** Number of hops between two chips under the routing above. */
+    /** Number of hops between two chips under the routing above,
+     *  counted without building the path (allocation-free). */
     u32 hops(u32 src, u32 dst) const;
 
     /** Whether the directed link (chip, dir) physically exists: its
@@ -182,6 +183,7 @@ class Topology
     s32 step(u32 from, u32 to, u32 dim) const;
 
     NetConfig cfg_;
+    std::vector<Coord> coords_;   ///< by chip id: no division per lookup
     std::vector<Cycle> linkFree_; ///< chip x direction occupancy
     std::vector<Cycle> hostFree_; ///< per-chip host link
     StatGroup stats_;

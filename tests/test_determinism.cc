@@ -131,6 +131,50 @@ TEST(Determinism, MultiChipHaloRepeatsExactly)
     expectSameMultiChip(first, second);
 }
 
+TEST(Determinism, MultiChipHaloPinned)
+{
+    // Absolute pins, not run-vs-run: a host-side refactor of the
+    // fabric or the System's delivery queues that shifts results the
+    // same way on every run passes the *RepeatsExactly tests but not
+    // this one. 680 words x 4 iterations queue hundreds of posted
+    // stores per epoch, so the delivery queues run deep.
+    MultiChipConfig cfg;
+    cfg.words = 680;
+    cfg.iters = 4;
+    const MultiChipResult r = runHaloExchange(cfg);
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.exitReason, arch::RunExitReason::AllHalted);
+    EXPECT_EQ(r.cycles, 91512u);
+    EXPECT_EQ(r.instructions, 113324u);
+    EXPECT_EQ(r.fingerprint, 0xac45c7771046c69dull);
+    EXPECT_EQ(r.flitsInFlight, 0u);
+}
+
+TEST(Determinism, MultiChipHaloFlakyLinkPinned)
+{
+    // The same exchange over one 5% flaky link: retransmissions push
+    // deliveries out of injection order and into the far future, and
+    // the dropped-flit ledger fills.
+    MultiChipConfig cfg;
+    cfg.words = 680;
+    cfg.iters = 4;
+    net::LinkFault flaky;
+    flaky.src = 0;
+    flaky.dst = 1;
+    flaky.kind = net::LinkFaultKind::Flaky;
+    flaky.flakyPpm = 50'000;
+    cfg.faults.links = {flaky};
+    const MultiChipResult r = runHaloExchange(cfg);
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.exitReason, arch::RunExitReason::AllHalted);
+    EXPECT_GT(r.retransmits, 0u);
+    EXPECT_EQ(r.cycles, 106743u);
+    EXPECT_EQ(r.instructions, 185468u);
+    EXPECT_EQ(r.fingerprint, 0xddde39e2cad9ae06ull);
+    EXPECT_EQ(r.flitsDropped, 2408u);
+    EXPECT_EQ(r.flitsInFlight, 0u);
+}
+
 TEST(Determinism, MultiChipStreamRepeatsExactly)
 {
     // Distributed STREAM: every chip remote-loads its neighbor's b[],

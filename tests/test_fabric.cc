@@ -46,8 +46,11 @@ shape(u32 x, u32 y, u32 z, bool torus)
 TEST(Fabric, ZeroLoadEqualsAnalyticExactly)
 {
     // Exhaustive over all pairs of several shapes — including 1-wide
-    // dimensions — and several message sizes: a fresh (idle) fabric
-    // must reproduce the analytic uncontendedLatency to the cycle.
+    // dimensions — and several message sizes: an idle fabric must
+    // reproduce the analytic uncontendedLatency to the cycle. One
+    // fabric per shape: each case is injected once the previous one
+    // has delivered and retired, when every link it reserved is free
+    // again, so the fabric is back at zero load.
     const NetConfig shapes[] = {
         shape(2, 2, 2, true),  shape(4, 4, 4, true),
         shape(3, 2, 1, false), shape(4, 1, 1, true),
@@ -56,24 +59,183 @@ TEST(Fabric, ZeroLoadEqualsAnalyticExactly)
     const u32 sizes[] = {8, 16, 64, 256, 300, 1024};
     for (const NetConfig &net : shapes) {
         const Topology topo(net);
+        const u32 last = net.numChips() - 1;
+        {
+            Fabric fresh(FabricConfig{net});
+            EXPECT_EQ(fresh.inject(0, 0, last, 1024).delivered,
+                      topo.uncontendedLatency(0, last, 1024));
+        }
+        Fabric fabric(FabricConfig{net});
+        Cycle now = 0;
         for (u32 s = 0; s < net.numChips(); ++s) {
             for (u32 d = 0; d < net.numChips(); ++d) {
                 if (s == d)
                     continue;
                 for (u32 bytes : sizes) {
-                    FabricConfig fc;
-                    fc.net = net;
-                    Fabric fabric(fc); // fresh: zero load
-                    const Delivery del = fabric.inject(0, s, d, bytes);
-                    EXPECT_EQ(del.delivered,
+                    const Delivery del = fabric.inject(now, s, d, bytes);
+                    ASSERT_EQ(del.delivered - now,
                               topo.uncontendedLatency(s, d, bytes))
                         << net.dimX << "x" << net.dimY << "x" << net.dimZ
                         << (net.torus ? " torus " : " mesh ") << s
-                        << "->" << d << " " << bytes << "B";
+                        << "->" << d << " " << bytes << "B at " << now;
+                    now = del.delivered;
+                    fabric.advance(now);
+                    ASSERT_EQ(fabric.flitsInFlight(), 0u);
                 }
             }
         }
+        EXPECT_EQ(fabric.queueCycles(), 0u);
     }
+}
+
+namespace
+{
+
+/** Flits of one transmission attempt of @p bytes: one per
+ *  linkBytesPerCycle chunk of every maxPacketBytes packet. */
+u64
+attemptFlits(const NetConfig &net, u32 bytes)
+{
+    u64 flits = 0;
+    for (u32 left = bytes; left > 0;) {
+        const u32 packet = std::min(left, net.maxPacketBytes);
+        flits += (packet + net.linkBytesPerCycle - 1) / net.linkBytesPerCycle;
+        left -= packet;
+    }
+    return flits;
+}
+
+/**
+ * Drive @p fc's fabric with seeded bursts and check the flit ledger
+ * after every advance(at) against a brute-force replay of the returned
+ * Deliverys: a message's final attempt retires, into delivered when
+ * ok, at the first advance past its delivery cycle made after it was
+ * injected. Corrupted attempts carry no returned cycle (they end
+ * before the message's final one), so the dropped ledger is bracketed
+ * until the end, where it is exact. Deliveries land far beyond the
+ * ledger ring (4 KB messages behind backlogged links), advances jump
+ * past it, repeat and go backward, and injections land behind the
+ * last advance, so every path of the ledger is taken.
+ */
+u32
+checkLedgerAgainstDeliveries(const FabricConfig &fc)
+{
+    const NetConfig &net = fc.net;
+    {
+        // A drain before any advance retires the whole ledger too.
+        Fabric fresh(fc);
+        fresh.inject(0, 0, net.numChips() - 1, 64);
+        fresh.drain();
+        EXPECT_EQ(fresh.flitsInFlight(), 0u);
+        EXPECT_EQ(fresh.flitsDelivered() + fresh.flitsDropped(),
+                  fresh.flitsInjected());
+    }
+    Fabric fabric(fc);
+    struct Sent
+    {
+        Delivery d;
+        u64 flits = 0;
+        bool retired = false;
+    };
+    std::vector<Sent> sent;
+    u64 seed = 0x452821E638D01377ull;
+    auto next = [&seed] {
+        seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+        return seed >> 17;
+    };
+    auto check = [&](Cycle at, bool drained) {
+        u64 delivered = 0, droppedLo = 0, droppedAll = 0, injected = 0;
+        for (Sent &m : sent) {
+            if (!m.retired && m.d.delivered <= at)
+                m.retired = true;
+            const u64 drops = m.d.retries + (m.d.ok ? 0 : 1);
+            injected += (m.d.retries + 1) * m.flits;
+            droppedAll += drops * m.flits;
+            if (m.retired) {
+                delivered += m.d.ok ? m.flits : 0;
+                droppedLo += drops * m.flits;
+            }
+        }
+        ASSERT_EQ(fabric.flitsInjected(), injected) << "at " << at;
+        ASSERT_EQ(fabric.flitsDelivered(), delivered) << "at " << at;
+        ASSERT_GE(fabric.flitsDropped(), droppedLo) << "at " << at;
+        ASSERT_LE(fabric.flitsDropped(), droppedAll) << "at " << at;
+        if (drained || droppedAll == 0) {
+            ASSERT_EQ(fabric.flitsDelivered() + fabric.flitsDropped(),
+                      delivered + droppedLo) << "at " << at;
+        }
+    };
+
+    Cycle now = 0;
+    Cycle at = 0;
+    u32 far = 0;  // delivered beyond a 1024-cycle horizon
+    u32 late = 0; // delivered at or before the last advance point
+    for (u32 round = 0; round < 400; ++round) {
+        const u32 burst = 1 + u32(next() % 6);
+        for (u32 i = 0; i < burst; ++i) {
+            const u32 s = u32(next() % net.numChips());
+            u32 d = u32(next() % net.numChips());
+            if (d == s)
+                d = (d + 1) % net.numChips();
+            const u32 bytes = next() % 8 == 0 ? 4096 : 8 + u32(next() % 600);
+            // Now and then inject behind the last advance point.
+            const Cycle t = next() % 16 == 0 && now > 64 ? now - 64 : now;
+            sent.push_back({fabric.inject(t, s, d, bytes),
+                            attemptFlits(net, bytes)});
+            const Cycle when = sent.back().d.delivered;
+            far += when > at + 1024;
+            late += when <= at;
+        }
+        switch (next() % 8) {
+        case 0: at += 3000; break;             // past the ring horizon
+        case 1: break;                         // repeat the last point
+        case 2: at = at > 40 ? at - 40 : 0; break; // go backward
+        default: at += next() % 24; break;
+        }
+        now = std::max(now, at) + next() % 8;
+        fabric.advance(at);
+        check(at, false);
+        if (::testing::Test::HasFatalFailure())
+            return 0;
+    }
+    EXPECT_GT(far, 0u);
+    EXPECT_GT(late, 0u);
+    fabric.drain();
+    check(kCycleNever, true);
+    EXPECT_EQ(fabric.flitsInFlight(), 0u);
+
+    // After a drain the fabric keeps accepting and retiring traffic.
+    const u32 last = net.numChips() - 1;
+    sent.push_back({fabric.inject(now, 0, last, 64), attemptFlits(net, 64)});
+    fabric.advance(sent.back().d.delivered - 1);
+    check(sent.back().d.delivered - 1, false);
+    fabric.advance(sent.back().d.delivered);
+    check(sent.back().d.delivered, false);
+    EXPECT_EQ(fabric.flitsInFlight(), 0u);
+    return u32(std::count_if(sent.begin(), sent.end(),
+                             [](const Sent &m) { return !m.d.ok; }));
+}
+
+} // namespace
+
+TEST(Fabric, LedgerMatchesDeliveriesHealthy)
+{
+    EXPECT_EQ(checkLedgerAgainstDeliveries(
+                  FabricConfig{shape(4, 2, 2, true)}),
+              0u);
+}
+
+TEST(Fabric, LedgerMatchesDeliveriesFlakyLink)
+{
+    FabricConfig fc{shape(4, 2, 2, true)};
+    LinkFault flaky;
+    flaky.src = 0;
+    flaky.dst = 1;
+    flaky.kind = LinkFaultKind::Flaky;
+    flaky.flakyPpm = 200'000;
+    fc.faults.links = {flaky};
+    fc.maxRetries = 1; // some messages exhaust their retries
+    EXPECT_GT(checkLedgerAgainstDeliveries(fc), 0u);
 }
 
 TEST(Fabric, MatchesTopologySendUnderContention)

@@ -216,3 +216,28 @@ TEST(Net, DegenerateOneWideDimensionsNeverRoute)
     EXPECT_EQ(fabric.hops(0, 3), 2u);
     EXPECT_EQ(fabric.route(0, 3)[0].second, Dir::ZMinus);
 }
+
+TEST(Topology, HopsMatchesRouteLength)
+{
+    // hops() counts the DOR walk without building it: it must equal
+    // the length of route() for every pair of the shapes the fabric's
+    // zero-load test covers, mesh and torus, 1-wide dimensions too.
+    const u32 shapes[][4] = {
+        {2, 2, 2, 1}, {4, 4, 4, 1}, {3, 2, 1, 0},
+        {4, 1, 1, 1}, {1, 1, 4, 0}, {2, 2, 1, 1},
+    };
+    for (const auto &sh : shapes) {
+        NetConfig cfg;
+        cfg.dimX = sh[0];
+        cfg.dimY = sh[1];
+        cfg.dimZ = sh[2];
+        cfg.torus = sh[3] != 0;
+        const Topology topo(cfg);
+        for (u32 s = 0; s < cfg.numChips(); ++s)
+            for (u32 d = 0; d < cfg.numChips(); ++d)
+                ASSERT_EQ(topo.hops(s, d), topo.route(s, d).size())
+                    << sh[0] << "x" << sh[1] << "x" << sh[2]
+                    << (cfg.torus ? " torus " : " mesh ") << s << "->"
+                    << d;
+    }
+}
