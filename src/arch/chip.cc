@@ -57,6 +57,7 @@ runExitName(RunExitReason reason)
 Chip::Chip(const ChipConfig &cfg) : cfg_(cfg)
 {
     cfg_.validate();
+    quadShift_ = log2i(cfg_.threadsPerQuad);
 
     dram_.assign(cfg_.memBytes(), 0);
     const u32 scratchBytes =
@@ -131,15 +132,43 @@ Chip::Chip(const ChipConfig &cfg) : cfg_(cfg)
 
 // --- Functional memory ------------------------------------------------------
 
+namespace
+{
+
+/**
+ * @p offset % @p bytes: a mask for the power-of-two sizes every
+ * instruction uses, a real modulo for any other size a caller passes.
+ */
+inline u32
+misalignment(u32 offset, u8 bytes)
+{
+    return isPow2(bytes) ? offset & (bytes - 1u) : offset % bytes;
+}
+
+/**
+ * Prefetch the first four host cache lines of a unit: the vtable
+ * pointer, the Unit counters and, for a ThreadUnit, the PC, PIB and
+ * outstanding-memory set that every tick reads first.
+ */
+inline void
+prefetchHotState(const Unit *unit)
+{
+    const char *base = reinterpret_cast<const char *>(unit);
+    for (u32 offset = 0; offset < 256; offset += 64)
+        __builtin_prefetch(base + offset);
+}
+
+} // namespace
+
 u8 *
 Chip::memPtr(Addr ea, u8 bytes, ThreadId tid)
 {
-    // The functional path shares the timing path's precomputed decode
-    // of the interest-group field (one LUT lookup, no re-decoding).
+    // The functional path reads the timing path's precomputed decode
+    // of the interest-group field (its own LUT lookup, no re-decoding).
     const MemSystem::RouteEntry &ig = memsys_.routeEntry(igField(ea));
     const PhysAddr pa = igPhys(ea);
     if (ig.cls == IgClass::Scratch) {
-        const CacheId cache = ig.index & (cfg_.numCaches() - 1);
+        const CacheId cache = ig.index & (u32(scratch_.size()) - 1);
         if (!memsys_.cacheEnabled(cache))
             guestCheck("scratchpad access to disabled cache %u "
                        "(thread %u)", cache, tid);
@@ -153,11 +182,11 @@ Chip::memPtr(Addr ea, u8 bytes, ThreadId tid)
         const u32 size = u32(mem.size());
         const u32 offset =
             isPow2(size) ? (pa & (size - 1)) : (pa % size);
-        if (offset % bytes != 0)
+        if (misalignment(offset, bytes) != 0)
             guestCheck("misaligned scratch access at 0x%08x", ea);
         return &mem[offset];
     }
-    if (pa % bytes != 0)
+    if (misalignment(pa, bytes) != 0)
         guestCheck("misaligned %u-byte access at 0x%08x (thread %u)",
                    bytes, ea, tid);
     if (pa + bytes > memsys_.availableMemBytes())
@@ -173,9 +202,26 @@ Chip::memRead(Addr ea, u8 bytes, ThreadId tid)
     if (remote_ && isRemoteEa(ea)) [[unlikely]]
         return remote_->remoteRead(chipId_, tid, ea, bytes);
     const u8 *ptr = memPtr(ea, bytes, tid);
-    u64 value = 0;
-    std::memcpy(&value, ptr, bytes);
-    return value;
+    // Fixed-size copies for the word and doubleword cases compile to
+    // single moves; on the little-endian host they yield the same
+    // value as the variable-size copy into a zeroed u64.
+    switch (bytes) {
+      case 8: {
+        u64 value;
+        std::memcpy(&value, ptr, 8);
+        return value;
+      }
+      case 4: {
+        u32 value;
+        std::memcpy(&value, ptr, 4);
+        return value;
+      }
+      default: {
+        u64 value = 0;
+        std::memcpy(&value, ptr, bytes);
+        return value;
+      }
+    }
 }
 
 void
@@ -186,7 +232,18 @@ Chip::memWrite(Addr ea, u8 bytes, u64 value, ThreadId tid)
         return;
     }
     u8 *ptr = memPtr(ea, bytes, tid);
-    std::memcpy(ptr, &value, bytes);
+    switch (bytes) {
+      case 8:
+        std::memcpy(ptr, &value, 8);
+        break;
+      case 4: {
+        const u32 word = u32(value);
+        std::memcpy(ptr, &word, 4);
+        break;
+      }
+      default:
+        std::memcpy(ptr, &value, bytes);
+    }
 }
 
 void
@@ -226,21 +283,35 @@ Chip::loadProgram(const isa::Program &program)
 
     decoded_.resize(program.text.size());
     for (size_t i = 0; i < program.text.size(); ++i) {
-        if (!isa::decode(program.text[i], &decoded_[i]))
+        DecodedInstr &d = decoded_[i];
+        if (!isa::decode(program.text[i], &d.instr))
             fatal("undecodable instruction word 0x%08x at 0x%06x",
                   program.text[i],
                   program.textBase + u32(i) * 4);
+        // Hazard slots in scoreboard order: sources ra and rb, then rd
+        // (a source of stores/fmadd/amocas, and WAW for any writer).
+        // The decoder has checked that pair operands are even.
+        const isa::InstrMeta &m = isa::meta(d.instr.op);
+        auto put = [&](unsigned slot, u8 reg, bool pair) {
+            d.hazardRegs[slot] = reg;
+            if (pair)
+                d.hazardRegs[slot + 1] = u8(reg + 1);
+        };
+        if (m.readsRa)
+            put(0, d.instr.ra, m.fpPairRa);
+        if (m.readsRb)
+            put(2, d.instr.rb, m.fpPairRb);
+        if (m.readsRd || m.writesRd)
+            put(4, d.instr.rd, m.fpPairRd);
     }
 }
 
-const isa::Instr &
-Chip::decodedAt(PhysAddr pc) const
+void
+Chip::badPc(PhysAddr pc) const
 {
     const PhysAddr base = program_.textBase;
-    if (pc < base || pc >= base + program_.textBytes() || pc % 4 != 0)
-        guestCrash("PC 0x%06x outside program text [0x%06x, 0x%06x)", pc,
-                   base, base + program_.textBytes());
-    return decoded_[(pc - base) / 4];
+    guestCrash("PC 0x%06x outside program text [0x%06x, 0x%06x)", pc, base,
+               base + program_.textBytes());
 }
 
 // --- Units and the cycle engine -------------------------------------------------
@@ -361,16 +432,15 @@ Chip::run(Cycle maxCycles)
         if (now_ >= limit)
             return {RunExitReason::CycleLimit, now_};
 
-        // Gather the units due this cycle. The due buffer and the slot
-        // vector both keep their capacity across cycles (a swap would
-        // strip the slot's buffer and force it to reallocate on every
-        // future schedule).
+        // Gather the units due this cycle by swapping the slot's vector
+        // with the empty due buffer: no copy, and the capacity moves
+        // between buffers instead of being freed, so once every buffer
+        // has grown to its working size nothing allocates.
         due_.clear();
         const u32 slotIdx = u32(now_) & (kWheelSize - 1);
         auto &slot = wheel_[slotIdx];
         if (!slot.empty()) {
-            due_.assign(slot.begin(), slot.end());
-            slot.clear();
+            due_.swap(slot);
             wheelBits_[slotIdx >> 6] &= ~(1ull << (slotIdx & 63));
             inWheel_ -= u32(due_.size());
         }
@@ -400,6 +470,10 @@ Chip::run(Cycle maxCycles)
             const ThreadId tid = due_[pos];
             if (++pos == n)
                 pos = 0;
+            // Ticking a hundred-odd units in turn misses the host L1 on
+            // each one's state: start loading the next one's while this
+            // one ticks.
+            prefetchHotState(units_[due_[pos]].get());
             Unit *u = units_[tid].get();
             const Cycle wake = u->tick(now_);
             if (wake == kCycleNever) {

@@ -135,6 +135,20 @@ class RemotePort
                                    Addr ea, u8 bytes, MemKind kind) = 0;
 };
 
+/**
+ * One predecoded text word: the instruction plus the registers its
+ * issue waits on, in scoreboard order ra, ra+1, rb, rb+1, rd, rd+1
+ * (the +1 slots only for even/odd pairs). Absent operands are r0,
+ * which is never marked busy, so its ready time is always 0.
+ */
+struct DecodedInstr
+{
+    static constexpr unsigned kHazardSlots = 6;
+
+    isa::Instr instr;
+    std::array<u8, kHazardSlots> hazardRegs{};
+};
+
 /** One Cyclops chip. */
 class Chip
 {
@@ -226,8 +240,19 @@ class Chip
      */
     void loadProgram(const isa::Program &program);
 
-    /** Decoded instruction at @p pc; panics outside the text section. */
-    const isa::Instr &decodedAt(PhysAddr pc) const;
+    /**
+     * Predecoded instruction at @p pc; a guest crash outside the text
+     * section or at a misaligned PC.
+     */
+    const DecodedInstr &
+    decodedAt(PhysAddr pc) const
+    {
+        // pc < textBase wraps to an offset far above any text size.
+        const PhysAddr offset = pc - program_.textBase;
+        if (offset >= program_.textBytes() || pc % 4 != 0) [[unlikely]]
+            badPc(pc);
+        return decoded_[offset / 4];
+    }
 
     const isa::Program &program() const { return program_; }
 
@@ -256,7 +281,7 @@ class Chip
     MemSystem &memsys() { return memsys_; }
     BarrierSpr &barrier() { return barrier_; }
     OffChipMemory &offchip() { return offchip_; }
-    Fpu &fpuOf(ThreadId tid) { return fpus_[tid / cfg_.threadsPerQuad]; }
+    Fpu &fpuOf(ThreadId tid) { return fpus_[tid >> quadShift_]; }
     ICache &
     icacheOf(ThreadId tid)
     {
@@ -339,6 +364,7 @@ class Chip
     void schedule(ThreadId tid, Cycle when);
     Cycle nextWheelEvent() const;
     u8 *memPtr(Addr ea, u8 bytes, ThreadId tid);
+    [[noreturn, gnu::cold]] void badPc(PhysAddr pc) const;
 
     void samplePcs();
     void applyFaultMap();
@@ -347,6 +373,7 @@ class Chip
     std::string watchdogDump() const;
 
     ChipConfig cfg_;
+    u32 quadShift_ = 0; ///< log2(threadsPerQuad): tid -> quad
     StatGroup stats_;
     Tracer tracer_;
     EpochSampler sampler_;
@@ -366,7 +393,7 @@ class Chip
     OffChipMemory offchip_;
 
     isa::Program program_;
-    std::vector<isa::Instr> decoded_;
+    std::vector<DecodedInstr> decoded_;
     bool programLoaded_ = false;
 
     std::vector<std::unique_ptr<Unit>> units_;

@@ -14,7 +14,10 @@ DCache::init(CacheId id, const ChipConfig &cfg, StatGroup *stats)
 {
     id_ = id;
     cfg_ = &cfg;
-    numSets_ = cfg.dcacheSets();
+    assoc_ = cfg.dcacheAssoc;
+    lineShift_ = log2i(cfg.dcacheLineBytes);
+    setShift_ = log2i(cfg.dcacheSets());
+    setMask_ = cfg.dcacheSets() - 1;
     waysBegin_ = cfg.dcacheScratchWays;
     // Reduced-way degradation: fault.cacheWays live ways per set (the
     // remaining ways' SRAM is fused off). Geometry (set indexing) is
@@ -24,10 +27,12 @@ DCache::init(CacheId id, const ChipConfig &cfg, StatGroup *stats)
                    : cfg.dcacheAssoc;
     scratchBytes_ = cfg.dcacheScratchWays *
                     (cfg.dcacheBytes / cfg.dcacheAssoc);
+    blocksPerLine_ = cfg.dcacheLineBytes / cfg.memBlockBytes;
     fullMask_ = cfg.dcacheLineBytes >= 64
                     ? ~u64(0)
                     : (u64(1) << cfg.dcacheLineBytes) - 1;
-    lines_.assign(size_t(numSets_) * cfg.dcacheAssoc, Line{});
+    tags_.assign(size_t(cfg.dcacheSets()) * assoc_, kNoTag);
+    lines_.assign(tags_.size(), Line{});
 
     if (stats) {
         const std::string prefix = strprintf("dcache%u.", id);
@@ -52,77 +57,79 @@ DCache::grantPort(Cycle arrive)
     return grant;
 }
 
-DCache::Line *
-DCache::lookup(PhysAddr addr)
+u32
+DCache::lookup(u32 set, u32 tag) const
 {
-    const u32 line = addr / cfg_->dcacheLineBytes;
-    const u32 set = line & (numSets_ - 1);
-    const u32 tag = line / numSets_;
-    Line *base = &lines_[size_t(set) * cfg_->dcacheAssoc];
+    const u32 base = set * assoc_;
     for (u32 way = waysBegin_; way < waysEnd_; ++way)
-        if (base[way].valid && base[way].tag == tag)
-            return &base[way];
-    return nullptr;
+        if (tags_[base + way] == tag)
+            return base + way;
+    return kNoSlot;
 }
 
-const DCache::Line *
-DCache::lookup(PhysAddr addr) const
+u32
+DCache::lookupAddr(PhysAddr addr) const
 {
-    return const_cast<DCache *>(this)->lookup(addr);
+    const u32 line = addr >> lineShift_;
+    return lookup(line & setMask_, line >> setShift_);
 }
 
-DCache::Line &
-DCache::victim(u32 set, Cycle now)
+u32
+DCache::victim(u32 set, Cycle now) const
 {
-    Line *base = &lines_[size_t(set) * cfg_->dcacheAssoc];
-    Line *best = nullptr;
+    const u32 base = set * assoc_;
+    u32 best = kNoSlot;
     for (u32 way = waysBegin_; way < waysEnd_; ++way) {
-        Line &line = base[way];
-        if (!line.valid)
-            return line;
+        const u32 slot = base + way;
+        if (tags_[slot] == kNoTag)
+            return slot;
         // Never evict a line whose fill is still in flight.
-        if (line.fillDone > now)
+        if (lines_[slot].fillDone > now)
             continue;
-        if (!best || line.lastUse < best->lastUse)
-            best = &line;
+        if (best == kNoSlot || lines_[slot].lastUse < lines_[best].lastUse)
+            best = slot;
     }
-    if (!best) {
+    if (best == kNoSlot) {
         // Every way is mid-fill; fall back to the LRU regardless (its
         // fill will simply be wasted). Extremely rare by construction.
         for (u32 way = waysBegin_; way < waysEnd_; ++way) {
-            Line &line = base[way];
-            if (!best || line.lastUse < best->lastUse)
-                best = &line;
+            const u32 slot = base + way;
+            if (best == kNoSlot ||
+                lines_[slot].lastUse < lines_[best].lastUse)
+                best = slot;
         }
     }
-    return *best;
-}
-
-PhysAddr
-DCache::lineAddrOf(const Line &line, u32 set) const
-{
-    return (line.tag * numSets_ + set) * cfg_->dcacheLineBytes;
+    return best;
 }
 
 void
-DCache::writeback(Line &line, u32 set, Cycle when, MemSystem &fabric)
+DCache::writeback(u32 slot, u32 set, Cycle when, MemSystem &fabric)
 {
+    Line &line = lines_[slot];
     if (!line.dirtyMask)
         return;
     // Only the 32-byte blocks containing dirty bytes travel to memory.
     const u32 blockBytes = cfg_->memBlockBytes;
-    const u32 blocksPerLine = cfg_->dcacheLineBytes / blockBytes;
     u32 dirtyBlocks = 0;
-    for (u32 block = 0; block < blocksPerLine; ++block) {
+    for (u32 block = 0; block < blocksPerLine_; ++block) {
         const u64 blockMask = ((u64(1) << blockBytes) - 1)
                               << (block * blockBytes);
         if (line.dirtyMask & blockMask)
             ++dirtyBlocks;
     }
-    fabric.postWrite(when, lineAddrOf(line, set), dirtyBlocks, id_);
+    const PhysAddr lineAddr = ((tags_[slot] << setShift_) | set)
+                              << lineShift_;
+    fabric.postWrite(when, lineAddr, dirtyBlocks, id_);
     ++writebacks_;
     wbBlocks_ += dirtyBlocks;
     line.dirtyMask = 0;
+}
+
+void
+DCache::invalidateSlot(u32 slot)
+{
+    tags_[slot] = kNoTag;
+    lines_[slot].validMask = lines_[slot].dirtyMask = 0;
 }
 
 CacheResult
@@ -142,15 +149,16 @@ DCache::access(const CacheAccess &req, MemSystem &fabric)
         return CacheResult{grant + lat.memLocalHit, true, portWait};
     }
 
-    const u32 line = req.addr / cfg_->dcacheLineBytes;
-    const u32 set = line & (numSets_ - 1);
+    const u32 line = req.addr >> lineShift_;
+    const u32 set = line & setMask_;
+    const u32 tag = line >> setShift_;
     const u32 byteOff = req.addr & (cfg_->dcacheLineBytes - 1);
     const u64 reqMask = req.bytes >= 64
                             ? ~u64(0)
                             : ((u64(1) << req.bytes) - 1) << byteOff;
 
-    Line *hitLine = lookup(req.addr);
-    if (hitLine) {
+    if (const u32 hitSlot = lookup(set, tag); hitSlot != kNoSlot) {
+        Line *hitLine = &lines_[hitSlot];
         hitLine->lastUse = grant;
         const bool filling = hitLine->fillDone > grant;
         const bool bytesThere = (hitLine->validMask & reqMask) == reqMask;
@@ -182,9 +190,8 @@ DCache::access(const CacheAccess &req, MemSystem &fabric)
         // (allocate-no-fetch residue): fetch and merge the line.
         ++misses_;
         const Cycle bankReq = grant + lat.missToBank;
-        BankGrant bg = fabric.fetchLine(
-            bankReq, line * cfg_->dcacheLineBytes,
-            cfg_->dcacheLineBytes / cfg_->memBlockBytes, id_);
+        BankGrant bg = fabric.fetchLine(bankReq, line << lineShift_,
+                                        blocksPerLine_, id_);
         const Cycle fillDone = bg.start + bg.transferCycles;
         hitLine->validMask = fullMask_;
         hitLine->fillDone = std::max(hitLine->fillDone, fillDone);
@@ -205,11 +212,11 @@ DCache::access(const CacheAccess &req, MemSystem &fabric)
         ++mshrFullWaits_;
     }
 
-    Line &way = victim(set, start);
-    if (way.valid)
-        writeback(way, set, start, fabric);
-    way.valid = true;
-    way.tag = line / numSets_;
+    const u32 slot = victim(set, start);
+    if (tags_[slot] != kNoTag)
+        writeback(slot, set, start, fabric);
+    tags_[slot] = tag;
+    Line &way = lines_[slot];
     way.lastUse = start;
 
     if (req.store && !req.atomic && cfg_->storeAllocNoFetch) {
@@ -226,8 +233,8 @@ DCache::access(const CacheAccess &req, MemSystem &fabric)
 
     const Cycle bankReq = start + lat.missToBank;
     BankGrant bg =
-        fabric.fetchLine(bankReq, line * cfg_->dcacheLineBytes,
-                         cfg_->dcacheLineBytes / cfg_->memBlockBytes, id_);
+        fabric.fetchLine(bankReq, line << lineShift_,
+                         blocksPerLine_, id_);
     const Cycle fillDone = bg.start + bg.transferCycles;
     way.validMask = fullMask_;
     way.dirtyMask = req.store ? reqMask : 0;
@@ -242,12 +249,9 @@ Cycle
 DCache::flushLine(PhysAddr addr, Cycle arrive, MemSystem &fabric)
 {
     const Cycle grant = grantPort(arrive);
-    Line *line = lookup(addr);
-    if (line) {
-        const u32 set = (addr / cfg_->dcacheLineBytes) & (numSets_ - 1);
-        writeback(*line, set, grant, fabric);
-        line->valid = false;
-        line->validMask = line->dirtyMask = 0;
+    if (const u32 slot = lookupAddr(addr); slot != kNoSlot) {
+        writeback(slot, (addr >> lineShift_) & setMask_, grant, fabric);
+        invalidateSlot(slot);
     }
     return grant + cfg_->lat.memLocalHit;
 }
@@ -256,27 +260,23 @@ Cycle
 DCache::invalidateLine(PhysAddr addr, Cycle arrive)
 {
     const Cycle grant = grantPort(arrive);
-    Line *line = lookup(addr);
-    if (line) {
-        line->valid = false;
-        line->validMask = line->dirtyMask = 0;
-    }
+    if (const u32 slot = lookupAddr(addr); slot != kNoSlot)
+        invalidateSlot(slot);
     return grant + cfg_->lat.memLocalHit;
 }
 
 bool
 DCache::probe(PhysAddr addr) const
 {
-    return lookup(addr) != nullptr;
+    return lookupAddr(addr) != kNoSlot;
 }
 
 bool
 DCache::faultLine(u32 idx)
 {
-    Line &line = lines_[idx % lines_.size()];
-    const bool wasValid = line.valid;
-    line.valid = false;
-    line.validMask = line.dirtyMask = 0;
+    const u32 slot = idx % numLines();
+    const bool wasValid = tags_[slot] != kNoTag;
+    invalidateSlot(slot);
     return wasValid;
 }
 

@@ -71,11 +71,11 @@ class DCache
     /** True if the line holding @p addr is resident (tests/statistics). */
     bool probe(PhysAddr addr) const;
 
-    /** Number of resident lines whose tag matches @p addr's line. */
+    /** Bytes of the scratchpad partition (dcacheScratchWays ways). */
     u32 scratchBytes() const { return scratchBytes_; }
 
     /** Total line slots (sets x ways), for fault-injection targeting. */
-    u32 numLines() const { return u32(lines_.size()); }
+    u32 numLines() const { return u32(tags_.size()); }
 
     /**
      * Transient fault in line slot @p idx: drop it from the directory
@@ -91,33 +91,49 @@ class DCache
     u32 waysEnd() const { return waysEnd_; }
 
   private:
+    /** Per-slot state besides the tag, indexed like tags_. */
     struct Line
     {
-        u32 tag = 0;
-        bool valid = false;
         u64 validMask = 0; ///< bit per byte: contents present
         u64 dirtyMask = 0; ///< bit per byte: needs writeback
         Cycle fillDone = 0;
         Cycle lastUse = 0;
     };
 
-    Line *lookup(PhysAddr addr);
-    const Line *lookup(PhysAddr addr) const;
-    Line &victim(u32 set, Cycle now);
-    void writeback(Line &line, u32 set, Cycle when, MemSystem &fabric);
-    PhysAddr lineAddrOf(const Line &line, u32 set) const;
+    /** Tag of an empty slot: above any tag a 32-bit address yields. */
+    static constexpr u32 kNoTag = ~0u;
+    /** lookup() result when the line is not resident. */
+    static constexpr u32 kNoSlot = ~0u;
+
+    /** Slot (set * assoc + way) holding @p tag in @p set, or kNoSlot. */
+    u32 lookup(u32 set, u32 tag) const;
+    /** lookup() of the line holding byte address @p addr. */
+    u32 lookupAddr(PhysAddr addr) const;
+    u32 victim(u32 set, Cycle now) const;
+    void writeback(u32 slot, u32 set, Cycle when, MemSystem &fabric);
+    void invalidateSlot(u32 slot);
 
     /** Reserve the single cache port; returns the grant cycle. */
     Cycle grantPort(Cycle arrive);
 
     CacheId id_ = 0;
     const ChipConfig *cfg_ = nullptr;
-    u32 numSets_ = 0;
+    // Geometry. Line size and set count are powers of two (checked by
+    // ChipConfig::check()), so line, set and tag are shifts and masks.
+    u32 assoc_ = 0;
+    u32 lineShift_ = 0; ///< log2(line bytes)
+    u32 setShift_ = 0;  ///< log2(sets)
+    u32 setMask_ = 0;   ///< sets - 1
+    u32 blocksPerLine_ = 0; ///< memory blocks per line (fills, writebacks)
     u32 waysBegin_ = 0; ///< first way usable as cache (after scratch ways)
     u32 waysEnd_ = 0;   ///< one past the last live way (reduced-way faults)
     u32 scratchBytes_ = 0;
     u64 fullMask_ = 0;  ///< valid mask covering the whole line
-    std::vector<Line> lines_; ///< sets * assoc, way-major within a set
+    // The directory, sets * assoc slots, way-major within a set. The
+    // tags of one set are contiguous, so a lookup reads one host cache
+    // line; kNoTag marks an invalid slot.
+    std::vector<u32> tags_;
+    std::vector<Line> lines_;
 
     Cycle portFree_ = 0;
     std::vector<Cycle> fills_; ///< MSHR: completion times of live fills

@@ -13,10 +13,8 @@ void
 ICache::init(u32 id, const ChipConfig &cfg, StatGroup *stats)
 {
     cfg_ = &cfg;
+    // ChipConfig::check() guarantees a power-of-two set count.
     numSets_ = cfg.icacheBytes / (cfg.icacheLineBytes * cfg.icacheAssoc);
-    if (!isPow2(numSets_))
-        fatal("icache geometry yields %u sets (not a power of two)",
-              numSets_);
     ways_.assign(size_t(numSets_) * cfg.icacheAssoc, Way{});
     if (stats) {
         const std::string prefix = strprintf("icache%u.", id);

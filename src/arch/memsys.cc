@@ -25,6 +25,7 @@ MemSystem::init(const ChipConfig &cfg, StatGroup *stats, Tracer *tracer)
     cacheMask_ = cfg.numCaches() >= 32 ? ~0u
                                        : (1u << cfg.numCaches()) - 1;
     lineShift_ = log2i(cfg.dcacheLineBytes);
+    quadShift_ = log2i(cfg.threadsPerQuad);
     updateBankGeometry();
     rebuildRouteLut();
     if (stats) {
@@ -171,15 +172,19 @@ MemSystem::routeCacheEntry(const RouteEntry &entry, Addr ea,
       case IgClass::Own:
         return ownRemap_[localCacheOf(tid)];
       case IgClass::Scratch:
-        return entry.index & (cfg_->numCaches() - 1);
+        return entry.index & (u32(caches_.size()) - 1);
       default: {
         if (entry.memberCount == 1)
             return entry.members[0];
         // Deterministic address scrambling over the precomputed member
-        // set — identical to igSelectCache() on the same mask.
+        // set — identical to igSelectCache() on the same mask. Healthy
+        // chips have power-of-two groups, so the modulo is a mask; a
+        // degraded chip's odd-sized groups keep the real modulo.
         const PhysAddr lineAddr = igPhys(ea) & ~PhysAddr(
             cfg_->dcacheLineBytes - 1);
-        return entry.members[scramble32(lineAddr) % entry.memberCount];
+        const u32 hash = scramble32(lineAddr);
+        const u32 n = entry.memberCount;
+        return entry.members[isPow2(n) ? hash & (n - 1) : hash % n];
       }
     }
 }
@@ -194,14 +199,15 @@ MemTiming
 MemSystem::access(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
 {
     // One LUT lookup replaces the per-access field decode here and the
-    // second decode that routeCache() used to repeat.
+    // second decode that routeCache() used to repeat. (Chip::memPtr,
+    // the functional half of the same access, does its own lookup.)
     const RouteEntry &entry = routeLut_[igField(ea)];
     const PhysAddr pa = igPhys(ea);
     const bool scratch = entry.cls == IgClass::Scratch;
 
     if (bytes == 0 || bytes > 8 || !isPow2(bytes))
         panic("memory access of %u bytes", bytes);
-    if (pa % bytes != 0)
+    if ((pa & (bytes - 1u)) != 0) // bytes is a power of two (above)
         guestCheck("misaligned %u-byte access at 0x%08x by thread %u",
                    bytes, ea, tid);
     if (!scratch && pa + bytes > availableMemBytes())
@@ -209,7 +215,7 @@ MemSystem::access(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
                    "(%u KB) — thread %u", pa,
                    availableMemBytes() / 1024, tid);
     if (scratch) {
-        const CacheId sc = entry.index & (cfg_->numCaches() - 1);
+        const CacheId sc = entry.index & (u32(caches_.size()) - 1);
         if (!cacheEnabled(sc))
             guestCheck("scratchpad access to disabled cache %u "
                        "(thread %u)", sc, tid);

@@ -91,11 +91,7 @@ class MemSystem
     // --- Topology -------------------------------------------------------
 
     /** The local data cache of a hardware thread. */
-    CacheId
-    localCacheOf(ThreadId tid) const
-    {
-        return tid / cfg_->threadsPerQuad;
-    }
+    CacheId localCacheOf(ThreadId tid) const { return tid >> quadShift_; }
 
     DCache &dcache(CacheId id) { return caches_[id]; }
     const DCache &dcache(CacheId id) const { return caches_[id]; }
@@ -200,6 +196,7 @@ class MemSystem
     // power of two; the bank count is one until a bank fails, so the
     // common case routes with shift/mask instead of div/mod.
     u32 lineShift_ = 6;
+    u32 quadShift_ = 2; ///< log2(threadsPerQuad): tid -> local cache
     bool banksPow2_ = true;
     u32 bankShift_ = 4;
     u32 bankMask_ = 15;

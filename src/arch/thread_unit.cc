@@ -26,7 +26,7 @@ void
 ThreadUnit::setReg(unsigned index, u32 value)
 {
     if (index != 0)
-        regs_[index] = value;
+        rf_[index].value = value;
 }
 
 void
@@ -34,16 +34,17 @@ ThreadUnit::setRegReady(unsigned index, Cycle at, CycleCat producer,
                         u64 queueing)
 {
     if (index != 0) {
-        ready_[index] = at;
-        prodCat_[index] = static_cast<u8>(producer);
-        prodQueue_[index] = queueing;
+        Reg &r = rf_[index];
+        r.readyAt = at;
+        r.prodCat = static_cast<u8>(producer);
+        r.prodQueue = queueing;
     }
 }
 
 double
 ThreadUnit::regPair(unsigned even) const
 {
-    u64 raw = (u64(regs_[even + 1]) << 32) | regs_[even];
+    u64 raw = (u64(rf_[even + 1].value) << 32) | rf_[even].value;
     double value;
     std::memcpy(&value, &raw, 8);
     return value;
@@ -56,26 +57,6 @@ ThreadUnit::setRegPair(unsigned even, double value)
     std::memcpy(&raw, &value, 8);
     setReg(even, u32(raw));
     setReg(even + 1, u32(raw >> 32));
-}
-
-ThreadUnit::Hazard
-ThreadUnit::hazardsClearAt(const Instr &instr) const
-{
-    const InstrMeta &m = isa::meta(instr.op);
-    Hazard h;
-    auto consider = [&](unsigned reg, bool pair) {
-        if (ready_[reg] > h.at)
-            h = {ready_[reg], reg};
-        if (pair && ready_[reg + 1] > h.at)
-            h = {ready_[reg + 1], reg + 1};
-    };
-    if (m.readsRa)
-        consider(instr.ra, m.fpPairRa);
-    if (m.readsRb)
-        consider(instr.rb, m.fpPairRb);
-    if (m.readsRd || m.writesRd)
-        consider(instr.rd, m.fpPairRd);
-    return h;
 }
 
 Cycle
@@ -102,22 +83,33 @@ ThreadUnit::tick(Cycle now)
         return wake;
     }
 
-    const Instr &instr = chip_.decodedAt(pc_);
+    const DecodedInstr &decoded = chip_.decodedAt(pc_);
 
     // Register dependences (sources, and WAW on the destination):
     // charge the wait to whatever the producing instruction was
-    // waiting on (its stall category and queueing share).
-    const Hazard hazard = hazardsClearAt(instr);
-    if (hazard.at > now) {
-        accountMemWait(now, hazard.at,
-                       static_cast<CycleCat>(prodCat_[hazard.reg]),
-                       prodQueue_[hazard.reg]);
+    // waiting on (its stall category and queueing share). The max over
+    // the predecoded slots is strict, so of equally late operands the
+    // first in ra, rb, rd order is charged; absent slots are r0, ready
+    // at 0, and never win. Selects, not branches: which operand is
+    // latest is data-dependent and mispredicts.
+    Cycle at = 0;
+    unsigned reg = 0;
+    for (const u8 r : decoded.hazardRegs) {
+        const Cycle ready = rf_[r].readyAt;
+        const bool later = ready > at;
+        at = later ? ready : at;
+        reg = later ? r : reg;
+    }
+    if (at > now) {
+        Reg &producer = rf_[reg];
+        accountMemWait(now, at, static_cast<CycleCat>(producer.prodCat),
+                       producer.prodQueue);
         // The queueing share is charged once, not per retry.
-        prodQueue_[hazard.reg] = 0;
-        return hazard.at;
+        producer.prodQueue = 0;
+        return at;
     }
 
-    return issue(now, instr);
+    return issue(now, decoded.instr);
 }
 
 Cycle
@@ -132,22 +124,22 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
 
     switch (m.unit) {
       case UnitClass::IntAlu: {
-        u32 a = regs_[ra];
+        u32 a = rf_[ra].value;
         u32 result = 0;
         switch (instr.op) {
-          case Opcode::Add: result = a + regs_[rb]; break;
-          case Opcode::Sub: result = a - regs_[rb]; break;
-          case Opcode::And: result = a & regs_[rb]; break;
-          case Opcode::Or: result = a | regs_[rb]; break;
-          case Opcode::Xor: result = a ^ regs_[rb]; break;
-          case Opcode::Nor: result = ~(a | regs_[rb]); break;
-          case Opcode::Sll: result = a << (regs_[rb] & 31); break;
-          case Opcode::Srl: result = a >> (regs_[rb] & 31); break;
+          case Opcode::Add: result = a + rf_[rb].value; break;
+          case Opcode::Sub: result = a - rf_[rb].value; break;
+          case Opcode::And: result = a & rf_[rb].value; break;
+          case Opcode::Or: result = a | rf_[rb].value; break;
+          case Opcode::Xor: result = a ^ rf_[rb].value; break;
+          case Opcode::Nor: result = ~(a | rf_[rb].value); break;
+          case Opcode::Sll: result = a << (rf_[rb].value & 31); break;
+          case Opcode::Srl: result = a >> (rf_[rb].value & 31); break;
           case Opcode::Sra:
-            result = u32(s32(a) >> (regs_[rb] & 31));
+            result = u32(s32(a) >> (rf_[rb].value & 31));
             break;
-          case Opcode::Slt: result = s32(a) < s32(regs_[rb]); break;
-          case Opcode::Sltu: result = a < regs_[rb]; break;
+          case Opcode::Slt: result = s32(a) < s32(rf_[rb].value); break;
+          case Opcode::Sltu: result = a < rf_[rb].value; break;
           case Opcode::Addi: result = a + u32(imm); break;
           case Opcode::Andi: result = a & u32(imm & 0x1FFF); break;
           case Opcode::Ori: result = a | u32(imm & 0x1FFF); break;
@@ -162,7 +154,7 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
         }
         // Watchdog food: producing a *new* value is forward progress; a
         // spin loop recomputing the same mask/compare result is not.
-        if (rd != 0 && regs_[rd] != result)
+        if (rd != 0 && rf_[rd].value != result)
             noteProgress();
         setReg(rd, result);
         setRegReady(rd, now + 1);
@@ -173,7 +165,7 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
 
       case UnitClass::IntMul: {
         noteProgress();
-        const u64 product = u64(regs_[ra]) * u64(regs_[rb]);
+        const u64 product = u64(rf_[ra].value) * u64(rf_[rb].value);
         setReg(rd, instr.op == Opcode::Mul ? u32(product)
                                            : u32(product >> 32));
         setRegReady(rd, now + lat.intMulExec + lat.intMulLat,
@@ -186,7 +178,7 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
       case UnitClass::IntDiv: {
         noteProgress();
         u32 result;
-        const u32 a = regs_[ra], b = regs_[rb];
+        const u32 a = rf_[ra].value, b = rf_[rb].value;
         if (b == 0) {
             result = ~0u; // division by zero yields all ones
         } else if (instr.op == Opcode::Div) {
@@ -207,23 +199,23 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
       case UnitClass::Branch: {
         bool taken = false;
         switch (instr.op) {
-          case Opcode::Beq: taken = regs_[ra] == regs_[rb]; break;
-          case Opcode::Bne: taken = regs_[ra] != regs_[rb]; break;
+          case Opcode::Beq: taken = rf_[ra].value == rf_[rb].value; break;
+          case Opcode::Bne: taken = rf_[ra].value != rf_[rb].value; break;
           case Opcode::Blt:
-            taken = s32(regs_[ra]) < s32(regs_[rb]);
+            taken = s32(rf_[ra].value) < s32(rf_[rb].value);
             break;
           case Opcode::Bge:
-            taken = s32(regs_[ra]) >= s32(regs_[rb]);
+            taken = s32(rf_[ra].value) >= s32(rf_[rb].value);
             break;
-          case Opcode::Bltu: taken = regs_[ra] < regs_[rb]; break;
-          case Opcode::Bgeu: taken = regs_[ra] >= regs_[rb]; break;
+          case Opcode::Bltu: taken = rf_[ra].value < rf_[rb].value; break;
+          case Opcode::Bgeu: taken = rf_[ra].value >= rf_[rb].value; break;
           case Opcode::Jal:
             setReg(rd, pc_ + 4);
             setRegReady(rd, now + lat.branchExec);
             taken = true;
             break;
           case Opcode::Jalr: {
-            const u32 target = (regs_[ra] + u32(imm)) & ~3u;
+            const u32 target = (rf_[ra].value + u32(imm)) & ~3u;
             setReg(rd, pc_ + 4);
             setRegReady(rd, now + lat.branchExec);
             pc_ = target;
@@ -252,10 +244,10 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
         // indexed loads/stores (lwx/ldx/...) add ra + rb.
         const bool indexed =
             m.format == isa::Format::R && m.unit != UnitClass::Atomic;
-        const Addr ea = indexed ? regs_[ra] + regs_[rb]
+        const Addr ea = indexed ? rf_[ra].value + rf_[rb].value
                                 : m.unit == UnitClass::Atomic
-                                      ? regs_[ra]
-                                      : regs_[ra] + u32(imm);
+                                      ? rf_[ra].value
+                                      : rf_[ra].value + u32(imm);
 
         if (m.unit == UnitClass::Atomic) {
             const u32 old = u32(chip_.memRead(ea, 4, tid_));
@@ -266,11 +258,11 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
             u32 fresh = old;
             bool doWrite = true;
             switch (instr.op) {
-              case Opcode::Amoadd: fresh = old + regs_[rb]; break;
-              case Opcode::Amoswap: fresh = regs_[rb]; break;
+              case Opcode::Amoadd: fresh = old + rf_[rb].value; break;
+              case Opcode::Amoswap: fresh = rf_[rb].value; break;
               case Opcode::Amocas:
-                doWrite = old == regs_[rd];
-                fresh = regs_[rb];
+                doWrite = old == rf_[rd].value;
+                fresh = rf_[rb].value;
                 break;
               case Opcode::Amotas: fresh = 1; break;
               default: panic("bad atomic opcode");
@@ -310,9 +302,9 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
             mem_.add(t.ready, t.fabric);
         } else {
             noteProgress();
-            u64 value = regs_[rd];
+            u64 value = rf_[rd].value;
             if (m.memBytes == 8)
-                value |= u64(regs_[rd + 1]) << 32;
+                value |= u64(rf_[rd + 1].value) << 32;
             chip_.memWrite(ea, m.memBytes, value, tid_);
             MemTiming t =
                 chip_.dmem(now, tid_, ea, m.memBytes, MemKind::Store);
@@ -344,26 +336,28 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
         }
         switch (instr.op) {
           case Opcode::Faddd:
-            setRegPair(rd, regPair(ra) + regPair(rb));
-            break;
           case Opcode::Fsubd:
-            setRegPair(rd, regPair(ra) - regPair(rb));
-            break;
           case Opcode::Fmuld:
-            setRegPair(rd, regPair(ra) * regPair(rb));
+          case Opcode::Fdivd: {
+            const double a = regPair(ra), b = regPair(rb);
+            const double result = instr.op == Opcode::Faddd   ? a + b
+                                  : instr.op == Opcode::Fsubd ? a - b
+                                  : instr.op == Opcode::Fmuld ? a * b
+                                                              : a / b;
+            setRegPair(rd, nanFirst(result, {a, b}));
             break;
-          case Opcode::Fdivd:
-            setRegPair(rd, regPair(ra) / regPair(rb));
-            break;
+          }
           case Opcode::Fsqrtd:
             setRegPair(rd, std::sqrt(regPair(ra)));
             break;
           case Opcode::Fmadd:
-            setRegPair(rd, regPair(ra) * regPair(rb) + regPair(rd));
+          case Opcode::Fmsub: {
+            const double a = regPair(ra), b = regPair(rb), c = regPair(rd);
+            const double result =
+                instr.op == Opcode::Fmadd ? a * b + c : a * b - c;
+            setRegPair(rd, nanFirst(result, {a, b, c}));
             break;
-          case Opcode::Fmsub:
-            setRegPair(rd, regPair(ra) * regPair(rb) - regPair(rd));
-            break;
+          }
           case Opcode::Fnegd: setRegPair(rd, -regPair(ra)); break;
           case Opcode::Fabsd:
             setRegPair(rd, std::fabs(regPair(ra)));
@@ -373,18 +367,16 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
           case Opcode::Fsubs:
           case Opcode::Fmuls: {
             float a, b;
-            std::memcpy(&a, &regs_[ra], 4);
-            std::memcpy(&b, &regs_[rb], 4);
-            float result = instr.op == Opcode::Fadds   ? a + b
-                           : instr.op == Opcode::Fsubs ? a - b
-                                                       : a * b;
-            u32 raw;
-            std::memcpy(&raw, &result, 4);
-            setReg(rd, raw);
+            std::memcpy(&a, &rf_[ra].value, 4);
+            std::memcpy(&b, &rf_[rb].value, 4);
+            const float result = instr.op == Opcode::Fadds   ? a + b
+                                 : instr.op == Opcode::Fsubs ? a - b
+                                                             : a * b;
+            setReg(rd, std::bit_cast<u32>(nanFirst(result, {a, b})));
             break;
           }
           case Opcode::Fcvtdw:
-            setRegPair(rd, double(s32(regs_[ra])));
+            setRegPair(rd, double(s32(rf_[ra].value)));
             break;
           case Opcode::Fcvtwd:
             setReg(rd, u32(f64ToS32(regPair(ra))));
@@ -427,12 +419,12 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
                                                      : CycleCat::FpuArb);
         } else {
             noteProgress();
-            chip_.writeSpr(tid_, u32(imm), regs_[ra]);
+            chip_.writeSpr(tid_, u32(imm), rf_[ra].value);
             if (u32(imm) == isa::kSprBarrier) {
                 Tracer &tr = chip_.tracer();
                 if (tr.on(TraceCat::Barrier))
                     tr.instant(TraceCat::Barrier, tid_, "mtspr.barrier",
-                               now, regs_[ra]);
+                               now, rf_[ra].value);
             }
         }
         accountIssue(now, 1);
@@ -464,7 +456,7 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
                                               : CycleCat::DcacheMiss);
             return wake;
         }
-        const Addr ea = regs_[ra] + u32(imm);
+        const Addr ea = rf_[ra].value + u32(imm);
         Cycle done;
         switch (instr.op) {
           case Opcode::Pref: {
@@ -501,7 +493,7 @@ ThreadUnit::issue(Cycle now, const Instr &instr)
                 accountIssue(now, 1);
                 return kCycleNever;
             }
-            chip_.trap(tid_, u32(imm), regs_[4]);
+            chip_.trap(tid_, u32(imm), rf_[4].value);
         }
         noteProgress();
         accountIssue(now, 1);

@@ -39,7 +39,7 @@ class ThreadUnit : public Unit
     Cycle tick(Cycle now) override;
 
     /** Architectural register read (r0 is always zero). */
-    u32 reg(unsigned index) const { return regs_[index]; }
+    u32 reg(unsigned index) const { return rf_[index].value; }
 
     /** Architectural register write (writes to r0 are ignored). */
     void setReg(unsigned index, u32 value);
@@ -61,19 +61,23 @@ class ThreadUnit : public Unit
     }
 
   private:
-    /** The register (and its ready time) that delays an issue longest. */
-    struct Hazard {
-        Cycle at = 0;
-        unsigned reg = 0;
+    /**
+     * One architectural register and its scoreboard entry: the cycle
+     * its value is ready, and what a dependent instruction waiting on
+     * it is charged (the producer's stall category and how many of the
+     * wait cycles were memory-path queueing). One record, so a hazard
+     * check and the operand read touch the same host cache line.
+     */
+    struct Reg
+    {
+        Cycle readyAt = 0;
+        u64 prodQueue = 0;
+        u32 value = 0;
+        u8 prodCat = 0; ///< CycleCat
     };
 
     /** Issue one instruction; returns the next cycle to run. */
     Cycle issue(Cycle now, const isa::Instr &instr);
-
-    /** Latest-clearing register hazard of @p instr (sources + WAW). */
-    Hazard hazardsClearAt(const isa::Instr &instr) const;
-
-    Cycle regReadyAt(unsigned index) const { return ready_[index]; }
 
     /**
      * Mark @p index ready at @p at, remembering which stall category a
@@ -83,14 +87,13 @@ class ThreadUnit : public Unit
     void setRegReady(unsigned index, Cycle at,
                      CycleCat producer = CycleCat::Run, u64 queueing = 0);
 
+    // Per-issue scalars first, next to the Unit counters, so one tick
+    // touches few host cache lines besides its operand registers.
     Chip &chip_;
     PhysAddr pc_;
-    std::array<u32, isa::kNumRegs> regs_{};
-    std::array<Cycle, isa::kNumRegs> ready_{};
-    std::array<u8, isa::kNumRegs> prodCat_{};  ///< CycleCat per register
-    std::array<u64, isa::kNumRegs> prodQueue_{};
-    OutstandingMem mem_;
     Pib pib_;
+    OutstandingMem mem_;
+    std::array<Reg, isa::kNumRegs> rf_{};
 };
 
 } // namespace cyclops::arch

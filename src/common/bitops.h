@@ -9,6 +9,7 @@
 
 #include <bit>
 #include <cmath>
+#include <initializer_list>
 #include <type_traits>
 
 #include "common/types.h"
@@ -92,6 +93,37 @@ f64ToS32(double value)
     if (value <= -2147483648.0)
         return -2147483647 - 1;
     return static_cast<s32>(value);
+}
+
+/** @p x with its quiet bit set, as an FPU returns a NaN operand. */
+template <typename F>
+inline F
+quietNan(F x)
+{
+    static_assert(sizeof(F) == 4 || sizeof(F) == 8);
+    if constexpr (sizeof(F) == 4)
+        return std::bit_cast<F>(std::bit_cast<u32>(x) | 0x0040'0000u);
+    else
+        return std::bit_cast<F>(std::bit_cast<u64>(x) |
+                                0x0008'0000'0000'0000ull);
+}
+
+/**
+ * @p result of an FP operation on @p operands, with the NaN it returns
+ * pinned down: the first NaN operand, quieted (the x86 SSE order), or
+ * @p result if no operand is a NaN. C++ leaves a NaN result's payload
+ * to the compiler, which may commute `a + b`, so without this two
+ * builds, or the timing frontend and the reference interpreter, could
+ * return different NaNs for the same operands.
+ */
+template <typename F>
+inline F
+nanFirst(F result, std::initializer_list<F> operands)
+{
+    for (const F x : operands)
+        if (std::isnan(x))
+            return quietNan(x);
+    return result;
 }
 
 /**

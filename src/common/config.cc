@@ -76,6 +76,14 @@ ChipConfig::check() const
         return strprintf("dcacheScratchWays (%u) must leave at least one "
                          "cache way (assoc %u)", dcacheScratchWays,
                          dcacheAssoc);
+    // The D-cache and I-cache index their sets with a mask and take the
+    // tag from the bits above it, so a set count that is not a power of
+    // two would alias distinct lines onto one (set, tag).
+    if (!isPow2(dcacheSets()))
+        return strprintf("dcacheBytes (%u) gives %u sets of %u x %u-byte "
+                         "lines; the set count must be a power of two",
+                         dcacheBytes, dcacheSets(), dcacheAssoc,
+                         dcacheLineBytes);
     if (dcacheMshrs == 0)
         return "dcacheMshrs must be nonzero";
 
@@ -85,6 +93,11 @@ ChipConfig::check() const
     if (!isPow2(icacheAssoc) || icacheAssoc == 0)
         return strprintf("icacheAssoc (%u) must be a power of two",
                          icacheAssoc);
+    if (const u32 sets = icacheBytes / (icacheLineBytes * icacheAssoc);
+        !isPow2(sets))
+        return strprintf("icacheBytes (%u) gives %u sets of %u x %u-byte "
+                         "lines; the set count must be a power of two",
+                         icacheBytes, sets, icacheAssoc, icacheLineBytes);
     if (pibEntries == 0 || !isPow2(pibEntries))
         return strprintf("pibEntries (%u) must be a power of two",
                          pibEntries);

@@ -177,8 +177,108 @@ struct InstrMeta
     u8 memBytes;     ///< access size for memory ops, else 0
 };
 
-/** Metadata for @p op. */
-const InstrMeta &meta(Opcode op);
+namespace detail
+{
+
+using F = Format;
+using U = UnitClass;
+
+// Compact initializer:         mnem    fmt  unit  rA rB rD wD  pD pA pB  mem
+inline constexpr InstrMeta kMeta[kNumOpcodes] = {
+    /* Add    */ {"add",    F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Sub    */ {"sub",    F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Mul    */ {"mul",    F::R, U::IntMul, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Mulhu  */ {"mulhu",  F::R, U::IntMul, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Div    */ {"div",    F::R, U::IntDiv, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Divu   */ {"divu",   F::R, U::IntDiv, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* And    */ {"and",    F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Or     */ {"or",     F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Xor    */ {"xor",    F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Nor    */ {"nor",    F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Sll    */ {"sll",    F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Srl    */ {"srl",    F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Sra    */ {"sra",    F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Slt    */ {"slt",    F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Sltu   */ {"sltu",   F::R, U::IntAlu, 1, 1, 0, 1, 0, 0, 0, 0},
+    /* Addi   */ {"addi",   F::I, U::IntAlu, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Andi   */ {"andi",   F::I, U::IntAlu, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Ori    */ {"ori",    F::I, U::IntAlu, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Xori   */ {"xori",   F::I, U::IntAlu, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Slli   */ {"slli",   F::I, U::IntAlu, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Srli   */ {"srli",   F::I, U::IntAlu, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Srai   */ {"srai",   F::I, U::IntAlu, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Slti   */ {"slti",   F::I, U::IntAlu, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Sltiu  */ {"sltiu",  F::I, U::IntAlu, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Lui    */ {"lui",    F::U, U::IntAlu, 0, 0, 0, 1, 0, 0, 0, 0},
+    /* Beq    */ {"beq",    F::B, U::Branch, 1, 1, 0, 0, 0, 0, 0, 0},
+    /* Bne    */ {"bne",    F::B, U::Branch, 1, 1, 0, 0, 0, 0, 0, 0},
+    /* Blt    */ {"blt",    F::B, U::Branch, 1, 1, 0, 0, 0, 0, 0, 0},
+    /* Bge    */ {"bge",    F::B, U::Branch, 1, 1, 0, 0, 0, 0, 0, 0},
+    /* Bltu   */ {"bltu",   F::B, U::Branch, 1, 1, 0, 0, 0, 0, 0, 0},
+    /* Bgeu   */ {"bgeu",   F::B, U::Branch, 1, 1, 0, 0, 0, 0, 0, 0},
+    /* Jal    */ {"jal",    F::J, U::Branch, 0, 0, 0, 1, 0, 0, 0, 0},
+    /* Jalr   */ {"jalr",   F::I, U::Branch, 1, 0, 0, 1, 0, 0, 0, 0},
+    /* Halt   */ {"halt",   F::I, U::Misc,   0, 0, 0, 0, 0, 0, 0, 0},
+    /* Trap   */ {"trap",   F::I, U::Misc,   0, 0, 0, 0, 0, 0, 0, 0},
+    /* Lb     */ {"lb",     F::I, U::Load,   1, 0, 0, 1, 0, 0, 0, 1},
+    /* Lbu    */ {"lbu",    F::I, U::Load,   1, 0, 0, 1, 0, 0, 0, 1},
+    /* Lh     */ {"lh",     F::I, U::Load,   1, 0, 0, 1, 0, 0, 0, 2},
+    /* Lhu    */ {"lhu",    F::I, U::Load,   1, 0, 0, 1, 0, 0, 0, 2},
+    /* Lw     */ {"lw",     F::I, U::Load,   1, 0, 0, 1, 0, 0, 0, 4},
+    /* Sb     */ {"sb",     F::I, U::Store,  1, 0, 1, 0, 0, 0, 0, 1},
+    /* Sh     */ {"sh",     F::I, U::Store,  1, 0, 1, 0, 0, 0, 0, 2},
+    /* Sw     */ {"sw",     F::I, U::Store,  1, 0, 1, 0, 0, 0, 0, 4},
+    /* Ld     */ {"ld",     F::I, U::Load,   1, 0, 0, 1, 1, 0, 0, 8},
+    /* Sd     */ {"sd",     F::I, U::Store,  1, 0, 1, 0, 1, 0, 0, 8},
+    /* Lwx    */ {"lwx",    F::R, U::Load,   1, 1, 0, 1, 0, 0, 0, 4},
+    /* Swx    */ {"swx",    F::R, U::Store,  1, 1, 1, 0, 0, 0, 0, 4},
+    /* Ldx    */ {"ldx",    F::R, U::Load,   1, 1, 0, 1, 1, 0, 0, 8},
+    /* Sdx    */ {"sdx",    F::R, U::Store,  1, 1, 1, 0, 1, 0, 0, 8},
+    /* Amoadd */ {"amoadd", F::R, U::Atomic, 1, 1, 0, 1, 0, 0, 0, 4},
+    /* Amoswap*/ {"amoswap",F::R, U::Atomic, 1, 1, 0, 1, 0, 0, 0, 4},
+    /* Amocas */ {"amocas", F::R, U::Atomic, 1, 1, 1, 1, 0, 0, 0, 4},
+    /* Amotas */ {"amotas", F::R, U::Atomic, 1, 0, 0, 1, 0, 0, 0, 4},
+    /* Sync   */ {"sync",   F::R, U::Sync,   0, 0, 0, 0, 0, 0, 0, 0},
+    /* Faddd  */ {"faddd",  F::R, U::FpAdd,  1, 1, 0, 1, 1, 1, 1, 0},
+    /* Fsubd  */ {"fsubd",  F::R, U::FpAdd,  1, 1, 0, 1, 1, 1, 1, 0},
+    /* Fmuld  */ {"fmuld",  F::R, U::FpMul,  1, 1, 0, 1, 1, 1, 1, 0},
+    /* Fdivd  */ {"fdivd",  F::R, U::FpDiv,  1, 1, 0, 1, 1, 1, 1, 0},
+    /* Fsqrtd */ {"fsqrtd", F::R, U::FpSqrt, 1, 0, 0, 1, 1, 1, 0, 0},
+    /* Fmadd  */ {"fmadd",  F::R, U::Fma,    1, 1, 1, 1, 1, 1, 1, 0},
+    /* Fmsub  */ {"fmsub",  F::R, U::Fma,    1, 1, 1, 1, 1, 1, 1, 0},
+    /* Fnegd  */ {"fnegd",  F::R, U::FpAdd,  1, 0, 0, 1, 1, 1, 0, 0},
+    /* Fabsd  */ {"fabsd",  F::R, U::FpAdd,  1, 0, 0, 1, 1, 1, 0, 0},
+    /* Fmovd  */ {"fmovd",  F::R, U::FpAdd,  1, 0, 0, 1, 1, 1, 0, 0},
+    /* Fadds  */ {"fadds",  F::R, U::FpAdd,  1, 1, 0, 1, 0, 0, 0, 0},
+    /* Fsubs  */ {"fsubs",  F::R, U::FpAdd,  1, 1, 0, 1, 0, 0, 0, 0},
+    /* Fmuls  */ {"fmuls",  F::R, U::FpMul,  1, 1, 0, 1, 0, 0, 0, 0},
+    /* Fcvtdw */ {"fcvtdw", F::R, U::FpAdd,  1, 0, 0, 1, 1, 0, 0, 0},
+    /* Fcvtwd */ {"fcvtwd", F::R, U::FpAdd,  1, 0, 0, 1, 0, 1, 0, 0},
+    /* Fclt   */ {"fclt",   F::R, U::FpAdd,  1, 1, 0, 1, 0, 1, 1, 0},
+    /* Fcle   */ {"fcle",   F::R, U::FpAdd,  1, 1, 0, 1, 0, 1, 1, 0},
+    /* Fceq   */ {"fceq",   F::R, U::FpAdd,  1, 1, 0, 1, 0, 1, 1, 0},
+    /* Mfspr  */ {"mfspr",  F::I, U::Spr,    0, 0, 0, 1, 0, 0, 0, 0},
+    /* Mtspr  */ {"mtspr",  F::I, U::Spr,    1, 0, 0, 0, 0, 0, 0, 0},
+    /* Pref   */ {"pref",   F::I, U::CacheOp,1, 0, 0, 0, 0, 0, 0, 0},
+    /* Dcbf   */ {"dcbf",   F::I, U::CacheOp,1, 0, 0, 0, 0, 0, 0, 0},
+    /* Dcbi   */ {"dcbi",   F::I, U::CacheOp,1, 0, 0, 0, 0, 0, 0, 0},
+    /* Nop    */ {"nop",    F::R, U::Misc,   0, 0, 0, 0, 0, 0, 0, 0},
+};
+
+/** Cold path of meta(): panics on an opcode outside the table. */
+[[noreturn, gnu::cold]] void badOpcode(unsigned idx);
+
+} // namespace detail
+
+/** Metadata for @p op (inline: the ISA frontend asks once per issue). */
+inline const InstrMeta &
+meta(Opcode op)
+{
+    const auto idx = static_cast<unsigned>(op);
+    if (idx >= kNumOpcodes) [[unlikely]]
+        detail::badOpcode(idx);
+    return detail::kMeta[idx];
+}
 
 /** Mnemonic for @p op. */
 const char *mnemonic(Opcode op);

@@ -305,28 +305,29 @@ RefInterpreter::step(u32 tid)
       case UnitClass::Fma: {
         switch (instr.op) {
           case Opcode::Faddd:
-            setRegPair(t, rd, regPair(t, ra) + regPair(t, rb));
-            break;
           case Opcode::Fsubd:
-            setRegPair(t, rd, regPair(t, ra) - regPair(t, rb));
-            break;
           case Opcode::Fmuld:
-            setRegPair(t, rd, regPair(t, ra) * regPair(t, rb));
+          case Opcode::Fdivd: {
+            const double a = regPair(t, ra), b = regPair(t, rb);
+            const double result = instr.op == Opcode::Faddd   ? a + b
+                                  : instr.op == Opcode::Fsubd ? a - b
+                                  : instr.op == Opcode::Fmuld ? a * b
+                                                              : a / b;
+            setRegPair(t, rd, nanFirst(result, {a, b}));
             break;
-          case Opcode::Fdivd:
-            setRegPair(t, rd, regPair(t, ra) / regPair(t, rb));
-            break;
+          }
           case Opcode::Fsqrtd:
             setRegPair(t, rd, std::sqrt(regPair(t, ra)));
             break;
           case Opcode::Fmadd:
-            setRegPair(t, rd,
-                       regPair(t, ra) * regPair(t, rb) + regPair(t, rd));
+          case Opcode::Fmsub: {
+            const double a = regPair(t, ra), b = regPair(t, rb);
+            const double c = regPair(t, rd);
+            const double result =
+                instr.op == Opcode::Fmadd ? a * b + c : a * b - c;
+            setRegPair(t, rd, nanFirst(result, {a, b, c}));
             break;
-          case Opcode::Fmsub:
-            setRegPair(t, rd,
-                       regPair(t, ra) * regPair(t, rb) - regPair(t, rd));
-            break;
+          }
           case Opcode::Fnegd: setRegPair(t, rd, -regPair(t, ra)); break;
           case Opcode::Fabsd:
             setRegPair(t, rd, std::fabs(regPair(t, ra)));
@@ -338,12 +339,10 @@ RefInterpreter::step(u32 tid)
             float a, b;
             std::memcpy(&a, &t.regs[ra], 4);
             std::memcpy(&b, &t.regs[rb], 4);
-            float result = instr.op == Opcode::Fadds   ? a + b
-                           : instr.op == Opcode::Fsubs ? a - b
-                                                       : a * b;
-            u32 raw;
-            std::memcpy(&raw, &result, 4);
-            setReg(t, rd, raw);
+            const float result = instr.op == Opcode::Fadds   ? a + b
+                                 : instr.op == Opcode::Fsubs ? a - b
+                                                             : a * b;
+            setReg(t, rd, std::bit_cast<u32>(nanFirst(result, {a, b})));
             break;
           }
           case Opcode::Fcvtdw:

@@ -267,6 +267,63 @@ TEST(DCache, PortSerializesAccesses)
     EXPECT_EQ(last, t0 + 3 + 6); // 4th access granted at t0+3
 }
 
+TEST(DCache, MixedTrafficPinned)
+{
+    // Seeded mix of every directory operation on one cache with two
+    // scratch ways and three live cache ways (ways 2..4 of 8): loads,
+    // stores, atomics, prefetches, remote requesters, dcbf, dcbi,
+    // transient tag faults and scratch accesses, over 8 KB: more than
+    // the 6 KB of live ways, so lines both hit and get evicted. The
+    // counters and the summed ready times are absolute pins of the
+    // tag/LRU/valid-mask behaviour.
+    ChipConfig cfg;
+    cfg.dcacheScratchWays = 2;
+    cfg.fault.cacheWays = 3;
+    Fab f(cfg);
+    DCache &dc = f.mem().dcache(0);
+    Rng rng(17);
+    Cycle t = 0;
+    u64 readySum = 0;
+    for (int i = 0; i < 4000; ++i) {
+        t += rng.below(4);
+        const Addr ea = igAddr(igExactly(0), u32(rng.below(1024)) * 8);
+        const u8 bytes = rng.below(2) ? 8 : 4;
+        const ThreadId tid = rng.below(8) == 0 ? 5 : ThreadId(rng.below(4));
+        const u64 op = rng.below(20);
+        if (op < 8) {
+            readySum += f.mem().access(t, tid, ea, bytes, MemKind::Load)
+                            .ready;
+        } else if (op < 13) {
+            readySum += f.mem().access(t, tid, ea, bytes, MemKind::Store)
+                            .ready;
+        } else if (op == 13) {
+            readySum += f.mem().access(t, tid, ea, 4, MemKind::Atomic)
+                            .ready;
+        } else if (op == 14) {
+            readySum += f.mem().access(t, tid, ea, 4, MemKind::Prefetch)
+                            .ready;
+        } else if (op == 15) {
+            readySum += f.mem().flush(t, tid, ea);
+        } else if (op == 16) {
+            readySum += f.mem().invalidate(t, tid, ea);
+        } else if (op == 17) {
+            dc.faultLine(u32(rng.below(dc.numLines())));
+        } else {
+            const Addr sa = igAddr(igScratch(0), u32(rng.below(512)) * 8);
+            readySum += f.mem().access(t, tid, sa, 8, MemKind::Load).ready;
+        }
+    }
+    const StatGroup &s = f.chip.stats();
+    EXPECT_EQ(s.counterValue("dcache0.hits"), 1817u);
+    EXPECT_EQ(s.counterValue("dcache0.misses"), 1173u);
+    EXPECT_EQ(s.counterValue("dcache0.storeAllocs"), 343u);
+    EXPECT_EQ(s.counterValue("dcache0.loadMerges"), 63u);
+    EXPECT_EQ(s.counterValue("dcache0.writebacks"), 464u);
+    EXPECT_EQ(s.counterValue("dcache0.wbBlocks"), 601u);
+    EXPECT_EQ(s.counterValue("dcache0.scratchAccesses"), 437u);
+    EXPECT_EQ(readySum, 11372364u);
+}
+
 // ---------------------------------------------------------------------------
 // Fault model (paper section 5).
 // ---------------------------------------------------------------------------

@@ -89,6 +89,32 @@ TEST(Determinism, StreamRepeatsExactly)
     expectSameStream(first, second);
 }
 
+TEST(Determinism, StreamTriadPinned)
+{
+    // Absolute pins of the single-chip ISA path, not run-vs-run: a
+    // host-side refactor of the thread unit, the D-cache or the cycle
+    // engine that shifts results the same way on every run passes
+    // StreamRepeatsExactly but not this. The counter table adds the
+    // guest's own view of the D-cache (hit/miss counter SPRs).
+    StreamConfig cfg = streamPoint(32, 400);
+    cfg.counterTable = true;
+    const StreamResult r = runStream(cfg);
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.simCycles, 88853u);
+    EXPECT_EQ(r.instructions, 695552u);
+    EXPECT_EQ(r.iterationCycles, 14350u);
+    // run, icacheMiss, dcacheMiss, bankContention, fpuArb, barrierWait,
+    // remoteWait, sleep.
+    const u64 attr[arch::kNumCycleCats + 1] = {
+        514496, 1382, 866914, 24566, 461853, 0, 0, 5654245};
+    for (u32 i = 0; i <= arch::kNumCycleCats; ++i)
+        EXPECT_EQ(r.attr.value(i), attr[i]) << arch::kCycleCatNames[i];
+    const u32 hit = isa::kSprCntDcacheHit - isa::kSprCntBase;
+    const u32 miss = isa::kSprCntDcacheMiss - isa::kSprCntBase;
+    EXPECT_EQ(r.kernelCounters[hit], 147357u);
+    EXPECT_EQ(r.kernelCounters[miss], 6499u);
+}
+
 TEST(Determinism, FftRepeatsExactly)
 {
     const SplashResult first =

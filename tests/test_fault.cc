@@ -441,6 +441,29 @@ TEST(Config, CheckReportsFirstViolation)
     EXPECT_NE(badWays.check().find("cacheWays"), std::string::npos);
 }
 
+TEST(Config, RejectsNonPow2CacheSets)
+{
+    // 24 KB / 64 B / 8-way = 48 D-cache sets: with the set taken by a
+    // mask, lines 0 and 16 would share set 0 and tag 0 (a false hit).
+    ChipConfig dcache;
+    dcache.dcacheBytes = 24 * 1024;
+    const std::string derr = dcache.check();
+    EXPECT_NE(derr.find("dcacheBytes"), std::string::npos) << derr;
+    EXPECT_NE(derr.find("48 sets"), std::string::npos) << derr;
+
+    // 24 KB / 32 B / 8-way = 96 I-cache sets.
+    ChipConfig icache;
+    icache.icacheBytes = 24 * 1024;
+    const std::string ierr = icache.check();
+    EXPECT_NE(ierr.find("icacheBytes"), std::string::npos) << ierr;
+    EXPECT_NE(ierr.find("96 sets"), std::string::npos) << ierr;
+
+    ChipConfig pow2;
+    pow2.dcacheBytes = 32 * 1024;
+    pow2.icacheBytes = 16 * 1024;
+    EXPECT_EQ(pow2.check(), "");
+}
+
 // ---------------------------------------------------------------------------
 // Guest-error classification.
 // ---------------------------------------------------------------------------

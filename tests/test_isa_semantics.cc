@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <functional>
 
@@ -207,6 +208,29 @@ TEST(FpSemantics, Unary)
     EXPECT_EQ(runFpOp(Opcode::Fsqrtd, 81.0, 0), 9.0);
 }
 
+TEST(FpSemantics, NanOperandOrderIsFixed)
+{
+    // A NaN operand decides the NaN result: the first one in operand
+    // order, quieted. Left to the compiler, `a + b` may be commuted and
+    // return the other payload (the reference interpreter and the
+    // timing frontend then disagree).
+    const u32 nanA = 0xffffa162, nanB = 0xffffaf9d, one = 0x3f800000;
+    EXPECT_EQ(runIntOp(Opcode::Fadds, nanA, nanB), nanA);
+    EXPECT_EQ(runIntOp(Opcode::Fadds, nanB, nanA), nanB);
+    EXPECT_EQ(runIntOp(Opcode::Fmuls, one, 0x7f800001), 0x7fc00001u);
+    EXPECT_EQ(runIntOp(Opcode::Fmuls, 0x7f800001, nanA), 0x7fc00001u);
+
+    const u64 dA = 0x7ff0'0000'0000'0001ull; // signaling
+    const u64 dB = 0xfff8'0000'0000'0002ull;
+    auto bits = [](double d) { return std::bit_cast<u64>(d); };
+    const double a = std::bit_cast<double>(dA);
+    const double b = std::bit_cast<double>(dB);
+    EXPECT_EQ(bits(runFpOp(Opcode::Faddd, a, b)), dA | (u64(1) << 51));
+    EXPECT_EQ(bits(runFpOp(Opcode::Fmuld, b, a)), dB);
+    // fmadd: rd = ra*rb + rd, rd preloaded with ra.
+    EXPECT_EQ(bits(runFpOp(Opcode::Fmadd, 2.0, b)), dB);
+}
+
 TEST(FpSemantics, CompareAndConvert)
 {
     ChipConfig cfg;
@@ -354,6 +378,39 @@ TEST(Microarch, WawOrderingRespected)
     chip.activate(0);
     ASSERT_EQ(chip.run(10'000), RunExit::AllHalted);
     EXPECT_EQ(tu->reg(6), 7u);
+}
+
+TEST(ThreadUnit, SameCycleHazardChargesFirstOperand)
+{
+    // Two source operands become ready on the same cycle: r4 from a
+    // mul (FpuArb) and r5 from a barrier-SPR read (BarrierWait). The
+    // stall of the dependent add is charged to whichever of them comes
+    // first in ra, rb order, so swapping the operands moves the whole
+    // stall from one category to the other.
+    auto stalls = [](bool r4First) {
+        ChipConfig cfg;
+        cfg.pibEnabled = false;
+        cfg.lat.sprLat = cfg.lat.intMulExec + cfg.lat.intMulLat - 1;
+        Chip chip(cfg);
+        ProgramBuilder builder;
+        builder.mul(4, 2, 3);                // ready at t + 6
+        builder.mfspr(5, isa::kSprBarrier);  // issued t + 1, ready t + 6
+        if (r4First)
+            builder.add(6, 4, 5);
+        else
+            builder.add(6, 5, 4);
+        builder.halt();
+        chip.loadProgram(builder.finish());
+        chip.setUnit(0, std::make_unique<ThreadUnit>(0, chip, 0));
+        chip.activate(0);
+        EXPECT_EQ(chip.run(10'000), RunExit::AllHalted);
+        const Unit *u = chip.unit(0);
+        return std::pair{u->catCycles(CycleCat::FpuArb),
+                         u->catCycles(CycleCat::BarrierWait)};
+    };
+    // The add issues at t + 2 and waits until t + 6.
+    EXPECT_EQ(stalls(true), std::pair(u64(4), u64(0)));
+    EXPECT_EQ(stalls(false), std::pair(u64(0), u64(4)));
 }
 
 TEST(Microarch, FpuRoundRobinIsFair)
