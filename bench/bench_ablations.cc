@@ -274,36 +274,33 @@ main(int argc, char **argv)
                     degraded[i].verified ? "yes" : "no"});
     cyclops::bench::emit(opts, deg);
 
-    if (std::FILE *f = std::fopen("BENCH_fault_ablations.json", "w")) {
-        std::fprintf(f,
-                     "{\n  \"benchmark\": \"fault_ablations\",\n"
-                     "  \"quick\": %s,\n  \"threads\": 120,\n"
-                     "  \"points\": [\n",
-                     opts.quick ? "true" : "false");
-        for (size_t i = 0; i < points.size(); ++i) {
-            std::fprintf(f, "    {\"name\": \"%s\", \"disabledBanks\": [",
-                         points[i].name);
-            for (size_t j = 0; j < points[i].banks.size(); ++j)
-                std::fprintf(f, "%s%u", j ? ", " : "", points[i].banks[j]);
-            std::fprintf(f, "], \"disabledQuads\": [");
-            for (size_t j = 0; j < points[i].quads.size(); ++j)
-                std::fprintf(f, "%s%u", j ? ", " : "", points[i].quads[j]);
-            std::fprintf(
-                f,
-                "], \"copyGBs\": %.3f, \"iterationCycles\": %llu, "
-                "\"verified\": %s}%s\n",
-                degraded[i].totalGBs,
-                static_cast<unsigned long long>(
-                    degraded[i].iterationCycles),
-                degraded[i].verified ? "true" : "false",
-                i + 1 < points.size() ? "," : "");
-        }
-        std::fprintf(f, "  ]\n}\n");
-        std::fclose(f);
-        cyclops::bench::note(opts, "Wrote BENCH_fault_ablations.json");
-    } else {
-        warn("ablations: cannot write BENCH_fault_ablations.json");
+    const std::string path = "BENCH_fault_ablations.json";
+    std::FILE *f = openOutput(path, "ablations output");
+    std::fprintf(f,
+                 "{\n  \"benchmark\": \"fault_ablations\",\n"
+                 "  \"quick\": %s,\n  \"threads\": 120,\n"
+                 "  \"points\": [\n",
+                 opts.quick ? "true" : "false");
+    for (size_t i = 0; i < points.size(); ++i) {
+        std::fprintf(f, "    {\"name\": \"%s\", \"disabledBanks\": [",
+                     points[i].name);
+        for (size_t j = 0; j < points[i].banks.size(); ++j)
+            std::fprintf(f, "%s%u", j ? ", " : "", points[i].banks[j]);
+        std::fprintf(f, "], \"disabledQuads\": [");
+        for (size_t j = 0; j < points[i].quads.size(); ++j)
+            std::fprintf(f, "%s%u", j ? ", " : "", points[i].quads[j]);
+        std::fprintf(
+            f,
+            "], \"copyGBs\": %.3f, \"iterationCycles\": %llu, "
+            "\"verified\": %s}%s\n",
+            degraded[i].totalGBs,
+            static_cast<unsigned long long>(degraded[i].iterationCycles),
+            degraded[i].verified ? "true" : "false",
+            i + 1 < points.size() ? "," : "");
     }
+    std::fprintf(f, "  ]\n}\n");
+    closeOutput(f, path);
+    cyclops::bench::note(opts, "Wrote BENCH_fault_ablations.json");
     cyclops::bench::writeManifest(opts, "bench_ablations");
     return 0;
 }

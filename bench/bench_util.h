@@ -7,7 +7,8 @@
  *   --csv     emit CSV instead of aligned tables
  *   --scale N multiply problem sizes by N/100 (default 100)
  *   --jobs N  run independent simulation points on N host threads
- *             (0 = all hardware threads; also CYCLOPS_BENCH_JOBS)
+ *             (0 = all hardware threads, larger counts clamped to
+ *             them; also CYCLOPS_BENCH_JOBS)
  *
  * Degraded-chip passthrough (see DESIGN.md section 13; repeatable):
  *   --disable-tu/quad/fpu/dcache/icache/bank N   fuse off a component
@@ -31,9 +32,6 @@
  *                         tools/check_fabric.py)
  *   --fabric-heatmap PATH link/pair congestion heatmap CSV
  *                         (multi-chip benches; DESIGN.md section 17)
- *   --host-obs            host-side simulator telemetry (hostObs
- *                         section in stats JSON, host Chrome-trace
- *                         process; DESIGN.md section 15)
  *   --manifest PATH       per-run JSON manifest (config hash,
  *                         git describe, wall time)
  * Paths may contain "%t", replaced by a per-sweep-point tag so
@@ -47,15 +45,17 @@
 #ifndef CYCLOPS_BENCH_BENCH_UTIL_H
 #define CYCLOPS_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/config.h"
-#include "common/hostobs.h"
 #include "common/log.h"
+#include "common/manifest.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "common/trace.h"
@@ -76,13 +76,54 @@ struct Options
     u64 startNs = 0;         ///< hostNowNs() at option parsing
 };
 
+/** Print the option summary (after @p why, if given) and exit 2. */
+[[noreturn]] inline void
+usage(const char *argv0, const std::string &why = "")
+{
+    if (!why.empty())
+        std::fprintf(stderr, "%s: %s\n", argv0, why.c_str());
+    std::fprintf(stderr,
+                 "usage: %s [--quick] [--csv] [--scale N] [--jobs N]\n"
+                 "          [--disable-tu N] [--disable-quad N] "
+                 "[--disable-fpu N]\n"
+                 "          [--disable-dcache N] [--disable-icache N]\n"
+                 "          [--disable-bank N] [--cache-ways N] "
+                 "[--watchdog N]\n"
+                 "          [--trace-out P] [--trace-cats LIST]\n"
+                 "          [--trace-capacity N] [--stats-json P]\n"
+                 "          [--stats-csv P] [--stats-interval N]\n"
+                 "          [--prof-out P] [--prof-interval N]\n"
+                 "          [--fabric-stats P] [--fabric-heatmap P]\n"
+                 "          [--manifest P]\n",
+                 argv0);
+    std::exit(2);
+}
+
+/**
+ * Parse a job count from @p text (named @p what in the usage error):
+ * a whole-string nonnegative integer, or exit 2. The count is resolved
+ * by SimPool::resolveJobs, so 0 and anything past the hardware thread
+ * count both mean "all hardware threads".
+ */
+inline u32
+parseJobs(const char *argv0, const char *what, const char *text)
+{
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 0);
+    if (end == text || *end != '\0' || std::strchr(text, '-') != nullptr)
+        usage(argv0, strprintf("%s needs a nonnegative number, got '%s'",
+                               what, text));
+    return SimPool::resolveJobs(u32(std::min<unsigned long long>(
+        v, std::numeric_limits<u32>::max())));
+}
+
 inline Options
 parseOptions(int argc, char **argv)
 {
     Options opts;
     opts.startNs = hostNowNs();
     if (const char *env = std::getenv("CYCLOPS_BENCH_JOBS"))
-        opts.jobs = SimPool::resolveJobs(u32(std::atoi(env)));
+        opts.jobs = parseJobs(argv[0], "CYCLOPS_BENCH_JOBS", env);
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             opts.quick = true;
@@ -93,7 +134,7 @@ parseOptions(int argc, char **argv)
             opts.scale = u32(std::atoi(argv[++i]));
         } else if (std::strcmp(argv[i], "--jobs") == 0 &&
                    i + 1 < argc) {
-            opts.jobs = SimPool::resolveJobs(u32(std::atoi(argv[++i])));
+            opts.jobs = parseJobs(argv[0], "--jobs", argv[++i]);
         } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
                    i + 1 < argc) {
             opts.obs.traceOut = argv[++i];
@@ -124,8 +165,6 @@ parseOptions(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--fabric-heatmap") == 0 &&
                    i + 1 < argc) {
             opts.obs.fabricHeatmap = argv[++i];
-        } else if (std::strcmp(argv[i], "--host-obs") == 0) {
-            opts.obs.hostObs = true;
         } else if (std::strcmp(argv[i], "--manifest") == 0 &&
                    i + 1 < argc) {
             opts.manifestOut = argv[++i];
@@ -156,22 +195,7 @@ parseOptions(int argc, char **argv)
                    i + 1 < argc) {
             opts.fault.watchdogCycles = u64(std::atoll(argv[++i]));
         } else {
-            std::fprintf(
-                stderr,
-                "usage: %s [--quick] [--csv] [--scale N] [--jobs N]\n"
-                "          [--disable-tu N] [--disable-quad N] "
-                "[--disable-fpu N]\n"
-                "          [--disable-dcache N] [--disable-icache N]\n"
-                "          [--disable-bank N] [--cache-ways N] "
-                "[--watchdog N]\n"
-                "          [--trace-out P] [--trace-cats LIST]\n"
-                "          [--trace-capacity N] [--stats-json P]\n"
-                "          [--stats-csv P] [--stats-interval N]\n"
-                "          [--prof-out P] [--prof-interval N]\n"
-                "          [--fabric-stats P] [--fabric-heatmap P]\n"
-                "          [--host-obs] [--manifest P]\n",
-                argv[0]);
-            std::exit(2);
+            usage(argv[0]);
         }
     }
     // Tracing to an output file needs at least one enabled category;

@@ -122,12 +122,6 @@ Chip::Chip(const ChipConfig &cfg) : cfg_(cfg)
     // the whole run for its row sums to match the bank access totals.
     if (profiling_ || !cfg_.obs.profOut.empty())
         memsys_.enableHeatmap();
-
-    // Host telemetry counters live in hostObs_.stats() (not stats_), so
-    // guest statistics output is byte-identical with it on or off.
-    hostObsOn_ = cfg_.obs.hostObs;
-    if (hostObsOn_)
-        hostObs_.configure(tracer_.on(TraceCat::Host));
 }
 
 // --- Functional memory ------------------------------------------------------
@@ -393,7 +387,6 @@ Chip::run(Cycle maxCycles)
     const Cycle limit = maxCycles >= kCycleNever - now_
                             ? kCycleNever
                             : now_ + maxCycles;
-    HostRunTimer hostTimer(hostObsOn_ ? &hostObs_ : nullptr);
 
     while (liveUnits_ > 0) {
         if (sampling_)
@@ -423,11 +416,6 @@ Chip::run(Cycle maxCycles)
                 e.diagnostic = watchdogDump();
                 return e;
             }
-            // Host telemetry rides the same low-frequency service
-            // point: it reads wall clocks only, so the flush cadence
-            // cannot perturb simulated timing.
-            if (hostObsOn_)
-                hostObs_.serviceFlush(now_);
         }
         if (now_ >= limit)
             return {RunExitReason::CycleLimit, now_};
@@ -806,25 +794,18 @@ Chip::writeObservability()
     const ObsConfig &obs = cfg_.obs;
     if (!obs.traceOut.empty())
         tracer_.writeChromeJson(obs.expandPath(obs.traceOut),
-                                cfg_.numThreads,
-                                hostObsOn_ ? hostObs_.traceExport(now_)
-                                           : nullptr);
+                                cfg_.numThreads);
     if (!obs.statsJson.empty()) {
         const std::string path = obs.expandPath(obs.statsJson);
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f)
-            fatal("cannot open stats output '%s'", path.c_str());
-        writeStatsJson(f, stats_, now_, &sampler_,
-                       hostObsOn_ ? &hostObs_.stats() : nullptr);
-        std::fclose(f);
+        std::FILE *f = openOutput(path, "stats output");
+        writeStatsJson(f, stats_, now_, &sampler_);
+        closeOutput(f, path);
     }
     if (!obs.statsCsv.empty()) {
         const std::string path = obs.expandPath(obs.statsCsv);
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f)
-            fatal("cannot open stats CSV output '%s'", path.c_str());
+        std::FILE *f = openOutput(path, "stats CSV output");
         sampler_.writeCsv(f);
-        std::fclose(f);
+        closeOutput(f, path);
     }
     if (!obs.profOut.empty())
         profiler_.writeOutputs(obs.expandPath(obs.profOut), program_,

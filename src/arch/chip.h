@@ -27,7 +27,6 @@
 #include "arch/profiler.h"
 #include "arch/unit.h"
 #include "common/config.h"
-#include "common/hostobs.h"
 #include "common/metrics.h"
 #include "common/stats.h"
 #include "common/trace.h"
@@ -170,12 +169,6 @@ class Chip
 
     /** PC-sampling profiler (enabled by ChipConfig::obs.profInterval). */
     const Profiler &profiler() const { return profiler_; }
-
-    /** Host-simulator telemetry (enabled by ChipConfig::obs.hostObs). */
-    const HostObs &hostObs() const { return hostObs_; }
-
-    /** Value snapshot of the host telemetry. */
-    HostObsSnapshot hostObsSnapshot() const { return hostObs_.snapshot(); }
 
     /**
      * Cycle attribution of one TU: every cycle between the unit's
@@ -428,10 +421,6 @@ class Chip
     std::vector<ThreadId> due_; ///< reusable due-this-cycle buffer
 
     std::string console_;
-
-    // Host-simulator telemetry (ChipConfig::obs.hostObs).
-    HostObs hostObs_;
-    bool hostObsOn_ = false;
 
     // Multi-chip remote-window port (null on standalone chips).
     RemotePort *remote_ = nullptr;

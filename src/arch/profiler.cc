@@ -19,15 +19,6 @@ const char *const kIgClassNames[MemSystem::kNumIgClasses] = {
 constexpr const char *kUnmappedName = "<unmapped>";
 constexpr const char *kUnknownName = "<unknown>";
 
-std::FILE *
-openOut(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot open profile output '%s'", path.c_str());
-    return f;
-}
-
 } // namespace
 
 void
@@ -177,7 +168,7 @@ Profiler::writeJson(const std::string &path, const isa::Program &prog,
         hot.resize(32);
 
     const u64 total = totalSamples();
-    std::FILE *f = openOut(path);
+    std::FILE *f = openOutput(path, "profile output");
     std::fprintf(f, "{\n  \"profInterval\": %u,\n", interval_);
     std::fprintf(f, "  \"cycles\": %llu,\n",
                  static_cast<unsigned long long>(now));
@@ -249,7 +240,7 @@ Profiler::writeJson(const std::string &path, const isa::Program &prog,
                      static_cast<unsigned long long>(bank.queueCycles()));
     }
     std::fputs("\n  ]\n}\n", f);
-    std::fclose(f);
+    closeOutput(f, path);
 }
 
 void
@@ -257,7 +248,7 @@ Profiler::writeFolded(const std::string &path,
                       const isa::Program &prog) const
 {
     const auto syms = textSymbols(prog);
-    std::FILE *f = openOut(path);
+    std::FILE *f = openOutput(path, "profile output");
     for (ThreadId tid = 0; tid < ThreadId(bins_.size()); ++tid) {
         // Aggregate this TU's bins per symbol; bins ascend by PC, so
         // one pass with a running symbol index suffices.
@@ -290,7 +281,7 @@ Profiler::writeFolded(const std::string &path,
             std::fprintf(f, "tu%u;%s %llu\n", tid, kUnmappedName,
                          static_cast<unsigned long long>(unmapped_[tid]));
     }
-    std::fclose(f);
+    closeOutput(f, path);
 }
 
 void
@@ -299,7 +290,7 @@ Profiler::writeHeatmapCsv(const std::string &path, const MemSystem &memsys,
 {
     if (!memsys.heatmapEnabled())
         fatal("profile output requested but the heatmap is disabled");
-    std::FILE *f = openOut(path);
+    std::FILE *f = openOutput(path, "profile output");
     std::fputs("row,quad", f);
     for (BankId b = 0; b < cfg.numBanks; ++b)
         std::fprintf(f, ",bank%u", b);
@@ -333,7 +324,7 @@ Profiler::writeHeatmapCsv(const std::string &path, const MemSystem &memsys,
             f, ",%llu",
             static_cast<unsigned long long>(memsys.bank(b).accesses()));
     std::fputc('\n', f);
-    std::fclose(f);
+    closeOutput(f, path);
 }
 
 } // namespace cyclops::arch

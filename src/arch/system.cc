@@ -401,14 +401,12 @@ System::writeObservability()
         return;
 
     // One merged Chrome trace: chip N rides pid 10+N as process
-    // "cyclops-chipN" (pids 1 and 2 stay reserved for the standalone
-    // guest and host processes), and with the "net" category enabled
-    // the fabric rides pid 3 as "cyclops-fabric" with one track per
+    // "cyclops-chipN" (pid 1 stays the standalone guest process and
+    // pid 2 is unused), and with the "net" category enabled the
+    // fabric rides pid 3 as "cyclops-fabric" with one track per
     // directed link (tools/check_trace.py validates the scheme).
     const std::string path = obsOrig_.expandPath(obsOrig_.traceOut);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot open trace output '%s'", path.c_str());
+    std::FILE *f = openOutput(path, "trace output");
     std::fputs("{\n  \"displayTimeUnit\": \"ns\",\n"
                "  \"traceEvents\": [\n",
                f);
@@ -429,7 +427,7 @@ System::writeObservability()
     std::fprintf(f,
                  "\n  ],\n  \"otherData\": {\"droppedEvents\": %llu}\n}\n",
                  static_cast<unsigned long long>(dropped));
-    std::fclose(f);
+    closeOutput(f, path);
 }
 
 void
@@ -439,9 +437,7 @@ System::writeFabricStats()
         return;
     fabricSampler_.finalize(now_);
     const std::string path = obsOrig_.expandPath(obsOrig_.fabricStats);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot open fabric stats output '%s'", path.c_str());
+    std::FILE *f = openOutput(path, "fabric stats output");
     const net::NetConfig &nc = cfg_.fabric.net;
     std::fprintf(f,
                  "{\n  \"schema\": \"cyclops-fabric-v1\",\n"
@@ -552,7 +548,7 @@ System::writeFabricStats()
         writeSeriesJson(f, fabricSampler_);
     }
     std::fputs("\n}\n", f);
-    std::fclose(f);
+    closeOutput(f, path);
 }
 
 void
@@ -561,9 +557,7 @@ System::writeFabricHeatmap()
     if (obsOrig_.fabricHeatmap.empty())
         return;
     const std::string path = obsOrig_.expandPath(obsOrig_.fabricHeatmap);
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot open fabric heatmap output '%s'", path.c_str());
+    std::FILE *f = openOutput(path, "fabric heatmap output");
     // Two row kinds share one schema: "pair" rows are the (src, dst)
     // traffic matrix (dir = -1, link-only columns zero), "link" rows
     // are per-directed-link congestion (pair-only columns zero).
@@ -595,7 +589,7 @@ System::writeFabricHeatmap()
             static_cast<unsigned long long>(link.occFlitCycles.value()),
             static_cast<unsigned long long>(link.occPeak));
     }
-    std::fclose(f);
+    closeOutput(f, path);
 }
 
 } // namespace cyclops::arch

@@ -93,9 +93,6 @@ struct ObsConfig
     u8 traceCats = 0;          ///< TraceCat bitmask (see common/trace.h)
     u32 traceCapacity = 65536; ///< ring-buffer capacity in events
     u32 profInterval = 0;      ///< PC-sample period in cycles (0 = off)
-    bool hostObs = false;      ///< host-simulator telemetry
-                               ///< (common/hostobs.h): run wall time,
-                               ///< RSS gauges
     std::string traceOut;      ///< Chrome-trace JSON path ("" = off)
     std::string statsJson;     ///< end-of-run stats JSON path ("" = off)
     std::string statsCsv;      ///< epoch-series CSV path ("" = off)

@@ -79,6 +79,23 @@ fatal(const char *fmt, ...)
     std::exit(1);
 }
 
+std::FILE *
+openOutput(const std::string &path, const char *what)
+{
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f)
+        fatal("cannot open %s '%s'", what, path.c_str());
+    return f;
+}
+
+void
+closeOutput(std::FILE *f, const std::string &path)
+{
+    const bool writeFailed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || writeFailed)
+        fatal("cannot write '%s'", path.c_str());
+}
+
 void
 warn(const char *fmt, ...)
 {

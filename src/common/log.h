@@ -21,6 +21,7 @@
 #define CYCLOPS_COMMON_LOG_H
 
 #include <cstdarg>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -59,6 +60,19 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Verbose diagnostic output (Debug level only). */
 void debugLog(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/**
+ * Open @p path for writing; fatal() naming @p what (e.g. "trace
+ * output") if it cannot be opened. Pair with closeOutput().
+ */
+std::FILE *openOutput(const std::string &path, const char *what);
+
+/**
+ * Close a file from openOutput(); fatal() if any write to it failed or
+ * the close itself did (a full disk surfaces only here, when buffered
+ * data is flushed).
+ */
+void closeOutput(std::FILE *f, const std::string &path);
 
 /**
  * An architecturally invalid action by the simulated program.

@@ -67,7 +67,7 @@ EpochSampler::writeCsv(std::FILE *out) const
 
 void
 writeStatsJson(std::FILE *out, const StatGroup &stats, Cycle cycles,
-               const EpochSampler *sampler, const StatGroup *host)
+               const EpochSampler *sampler)
 {
     std::fprintf(out, "{\n  \"cycles\": %llu,\n  \"counters\": {",
                  static_cast<unsigned long long>(cycles));
@@ -98,17 +98,6 @@ writeStatsJson(std::FILE *out, const StatGroup &stats, Cycle cycles,
     if (sampler && sampler->enabled()) {
         std::fputs(",\n  \"series\": ", out);
         writeSeriesJson(out, *sampler);
-    }
-    if (host) {
-        std::fputs(",\n  \"hostObs\": {", out);
-        first = true;
-        for (const auto &[name, value] : host->counters()) {
-            std::fprintf(out, "%s\n    \"%s\": %llu", first ? "" : ",",
-                         name.c_str(),
-                         static_cast<unsigned long long>(value));
-            first = false;
-        }
-        std::fputs("\n  }", out);
     }
     std::fputs("\n}\n", out);
 }

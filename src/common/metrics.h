@@ -95,14 +95,10 @@ class EpochSampler
 /**
  * Write a full statistics snapshot as JSON: total cycles, every scalar
  * (counters + gauges), every histogram, and — when @p sampler is
- * non-null and enabled — the epoch time series. When @p host is
- * non-null its scalars are emitted as a separate "hostObs" object so
- * host-simulator telemetry (common/hostobs.h) never mixes with guest
- * statistics — the guest sections stay byte-identical either way.
+ * non-null and enabled — the epoch time series.
  */
 void writeStatsJson(std::FILE *out, const StatGroup &stats, Cycle cycles,
-                    const EpochSampler *sampler,
-                    const StatGroup *host = nullptr);
+                    const EpochSampler *sampler);
 
 /**
  * Write @p sampler's epoch series as one JSON object value (interval,

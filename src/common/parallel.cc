@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/hostobs.h"
-
 namespace cyclops
 {
 
@@ -28,42 +26,18 @@ SimPool::~SimPool()
 u32
 SimPool::resolveJobs(u32 requested)
 {
-    if (requested != 0)
-        return requested;
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw ? u32(hw) : 1u;
+    const u32 cap = hw ? u32(hw) : 1u;
+    return requested == 0 ? cap : std::min(requested, cap);
 }
 
-/**
- * Drain the shared index dispenser, timing each item. Tasks are whole
- * simulation points (milliseconds and up), so two clock reads per item
- * are noise; the totals feed SimPool::telemetry().
- */
+/** Drain the shared index dispenser. */
 void
 SimPool::runItems(const std::function<void(size_t)> &fn, size_t count)
 {
     size_t i;
-    u64 done = 0;
-    u64 nanos = 0;
-    while ((i = next_.fetch_add(1, std::memory_order_relaxed)) < count) {
-        const u64 t0 = hostNowNs();
+    while ((i = next_.fetch_add(1, std::memory_order_relaxed)) < count)
         fn(i);
-        nanos += hostNowNs() - t0;
-        ++done;
-    }
-    items_.fetch_add(done, std::memory_order_relaxed);
-    itemNanos_.fetch_add(nanos, std::memory_order_relaxed);
-}
-
-SimPool::Telemetry
-SimPool::telemetry() const
-{
-    Telemetry t;
-    t.batches = batches_;
-    t.batchNanos = batchNanos_;
-    t.items = items_.load(std::memory_order_relaxed);
-    t.itemNanos = itemNanos_.load(std::memory_order_relaxed);
-    return t;
 }
 
 void
@@ -199,12 +173,9 @@ SimPool::forEach(size_t count, const std::function<void(size_t)> &fn)
 {
     if (count == 0)
         return;
-    const u64 batchStart = hostNowNs();
-    ++batches_;
     if (workers_.empty()) {
         next_.store(0, std::memory_order_relaxed);
         runItems(fn, count);
-        batchNanos_ += hostNowNs() - batchStart;
         return;
     }
 
@@ -223,7 +194,6 @@ SimPool::forEach(size_t count, const std::function<void(size_t)> &fn)
     lock.lock();
     done_.wait(lock, [&] { return checkedIn_ == workers_.size(); });
     task_ = nullptr;
-    batchNanos_ += hostNowNs() - batchStart;
 }
 
 } // namespace cyclops

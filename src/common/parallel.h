@@ -58,26 +58,12 @@ class SimPool
     void forEach(size_t count, const std::function<void(size_t)> &fn);
 
     /**
-     * Turn a user-requested job count into an effective one:
-     * 0 means "all hardware threads", anything else is taken as-is.
+     * Turn a user-requested job count into an effective one: 0 means
+     * "all hardware threads", and larger requests are clamped to the
+     * hardware thread count. Sweep output is byte-identical at any job
+     * count, so lanes beyond the hardware buy nothing.
      */
     static u32 resolveJobs(u32 requested);
-
-    /**
-     * Cumulative pool telemetry (host observability): how many batches
-     * and items ran, total wall time inside items, and total wall time
-     * batches were outstanding. itemNanos / items is the mean task
-     * latency; itemNanos / batchNanos the pool's effective occupancy.
-     */
-    struct Telemetry
-    {
-        u64 batches = 0;    ///< forEach() calls that ran work
-        u64 items = 0;      ///< task invocations completed
-        u64 itemNanos = 0;  ///< summed wall time inside tasks
-        u64 batchNanos = 0; ///< summed forEach() wall time
-    };
-
-    Telemetry telemetry() const;
 
   private:
     void workerMain();
@@ -85,10 +71,6 @@ class SimPool
 
     u32 jobs_ = 1;
     std::vector<std::thread> workers_;
-    u64 batches_ = 0;    ///< caller-side, guarded by forEach serialization
-    u64 batchNanos_ = 0;
-    std::atomic<u64> items_{0};
-    std::atomic<u64> itemNanos_{0};
 
     std::mutex mu_;
     std::condition_variable wake_; ///< workers: a new task is posted

@@ -8,7 +8,7 @@ namespace cyclops
 {
 
 const char *const kTraceCatNames[kNumTraceCats] = {
-    "mem", "cache", "barrier", "kernel", "sched", "host", "net"};
+    "mem", "cache", "barrier", "kernel", "sched", "net"};
 
 u8
 parseTraceCats(const std::string &spec)
@@ -34,7 +34,7 @@ parseTraceCats(const std::string &spec)
         }
         if (!found)
             fatal("unknown trace category '%s' (valid: "
-                  "mem,cache,barrier,kernel,sched,host,net,all,none)",
+                  "mem,cache,barrier,kernel,sched,net,all,none)",
                   name.c_str());
         pos = comma + 1;
     }
@@ -69,44 +69,6 @@ Tracer::sorted() const
                      });
     return out;
 }
-
-namespace
-{
-
-/**
- * Append @p host as a second Chrome-trace process (pid 2). Host
- * timestamps are wall-clock nanoseconds; the trace-event format wants
- * microseconds, so they are printed with sub-microsecond fractions.
- * HostObs appends its service windows in time order, so events leave
- * here sorted by timestamp within this pid (validated by
- * tools/check_trace.py per process).
- */
-void
-writeHostEvents(std::FILE *out, const HostTraceExport &host)
-{
-    std::fprintf(out,
-                 ",\n    {\"ph\": \"M\", \"pid\": 2, \"tid\": 0, \"name\": "
-                 "\"process_name\", \"args\": {\"name\": \"cyclops-host\"}}");
-    for (u32 t = 0; t < host.tracks.size(); ++t) {
-        std::fprintf(out,
-                     ",\n    {\"ph\": \"M\", \"pid\": 2, \"tid\": %u, "
-                     "\"name\": \"thread_name\", \"args\": {\"name\": "
-                     "\"%s\"}}",
-                     t, host.tracks[t].c_str());
-    }
-    for (const HostTraceEvent &ev : host.events) {
-        std::fprintf(out,
-                     ",\n    {\"ph\": \"X\", \"pid\": 2, \"tid\": %u, "
-                     "\"name\": \"%s\", \"cat\": \"host\", "
-                     "\"ts\": %.3f, \"dur\": %.3f, "
-                     "\"args\": {\"arg\": %llu}}",
-                     ev.track, ev.name, double(ev.tsNs) / 1000.0,
-                     double(ev.durNs) / 1000.0,
-                     static_cast<unsigned long long>(ev.arg));
-    }
-}
-
-} // namespace
 
 void
 Tracer::writeChromeEvents(std::FILE *out, u32 pid,
@@ -172,8 +134,7 @@ Tracer::writeChromeEvents(std::FILE *out, u32 pid,
 }
 
 void
-Tracer::writeChromeJson(std::FILE *out, u32 numTracks,
-                        const HostTraceExport *host) const
+Tracer::writeChromeJson(std::FILE *out, u32 numTracks) const
 {
     // ts/dur are microseconds in the trace-event format; we map one
     // simulated cycle to one microsecond so Perfetto's time axis reads
@@ -182,24 +143,17 @@ Tracer::writeChromeJson(std::FILE *out, u32 numTracks,
                "  \"traceEvents\": [\n",
                out);
     writeChromeEvents(out, 1, "cyclops", numTracks, false);
-    if (host)
-        writeHostEvents(out, *host);
     std::fprintf(out,
-                 "\n  ],\n  \"otherData\": {\"droppedEvents\": %llu, "
-                 "\"droppedHostEvents\": %llu}\n}\n",
-                 static_cast<unsigned long long>(dropped_),
-                 static_cast<unsigned long long>(host ? host->dropped : 0));
+                 "\n  ],\n  \"otherData\": {\"droppedEvents\": %llu}\n}\n",
+                 static_cast<unsigned long long>(dropped_));
 }
 
 void
-Tracer::writeChromeJson(const std::string &path, u32 numTracks,
-                        const HostTraceExport *host) const
+Tracer::writeChromeJson(const std::string &path, u32 numTracks) const
 {
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f)
-        fatal("cannot open trace output '%s'", path.c_str());
-    writeChromeJson(f, numTracks, host);
-    std::fclose(f);
+    std::FILE *f = openOutput(path, "trace output");
+    writeChromeJson(f, numTracks);
+    closeOutput(f, path);
 }
 
 } // namespace cyclops

@@ -34,11 +34,10 @@ enum class TraceCat : u8 {
     Barrier = 2, ///< barrier entry/release
     Kernel = 3,  ///< traps and kernel services
     Sched = 4,   ///< thread activation/halt
-    Host = 5,    ///< host-simulator telemetry spans (common/hostobs.h)
-    Net = 6,     ///< fabric links: packet slices, flows, occupancy
+    Net = 5,     ///< fabric links: packet slices, flows, occupancy
 };
 
-inline constexpr u32 kNumTraceCats = 7;
+inline constexpr u32 kNumTraceCats = 6;
 extern const char *const kTraceCatNames[kNumTraceCats];
 
 /** Bit for @p cat in a category mask. */
@@ -56,31 +55,6 @@ inline constexpr u8 kTraceAll = (1u << kNumTraceCats) - 1;
  * "") into a mask. fatal() on an unknown category name.
  */
 u8 parseTraceCats(const std::string &spec);
-
-/**
- * One host-side trace event. Unlike guest events, timestamps are host
- * wall-clock nanoseconds (relative to a run-local base), because host
- * telemetry measures the simulator, not the simulated chip. Exported
- * on a second Chrome-trace process ("cyclops-host", pid 2) so Perfetto
- * shows guest and host timelines side by side without mixing their
- * time units.
- */
-struct HostTraceEvent
-{
-    u64 tsNs;         ///< start, host ns since the run base
-    u64 durNs;        ///< span length
-    const char *name; ///< static string; never freed
-    u64 arg;          ///< span argument
-    u32 track;        ///< host thread track (index into tracks)
-};
-
-/** Host events plus their track names, handed to the JSON exporter. */
-struct HostTraceExport
-{
-    std::vector<HostTraceEvent> events;
-    std::vector<std::string> tracks; ///< thread_name per track index
-    u64 dropped = 0;                 ///< events past the buffer cap
-};
 
 class Tracer
 {
@@ -176,17 +150,11 @@ class Tracer
      */
     std::vector<Event> sorted() const;
 
-    /**
-     * Write the retained events as Chrome trace-event JSON. When
-     * @p host is non-null its events are appended as a second process
-     * ("cyclops-host") so one file carries both timelines.
-     */
-    void writeChromeJson(std::FILE *out, u32 numTracks,
-                         const HostTraceExport *host = nullptr) const;
+    /** Write the retained events as Chrome trace-event JSON. */
+    void writeChromeJson(std::FILE *out, u32 numTracks) const;
 
     /** Convenience: writeChromeJson to @p path; fatal() on I/O error. */
-    void writeChromeJson(const std::string &path, u32 numTracks,
-                         const HostTraceExport *host = nullptr) const;
+    void writeChromeJson(const std::string &path, u32 numTracks) const;
 
     /**
      * Append the retained events as one Chrome-trace process @p pid

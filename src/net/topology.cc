@@ -25,7 +25,6 @@ Topology::Topology(const NetConfig &cfg) : cfg_(cfg)
     if (cfg.linkBytesPerCycle == 0 || cfg.maxPacketBytes == 0)
         fatal("fabric link parameters must be nonzero");
     linkFree_.assign(size_t(cfg.numChips()) * kNumDirs, 0);
-    hostFree_.assign(cfg.numChips(), 0);
     coords_.resize(cfg.numChips());
     for (u32 chip = 0; chip < cfg.numChips(); ++chip) {
         coords_[chip].x = chip % cfg.dimX;
@@ -282,23 +281,6 @@ Topology::send(Cycle now, u32 src, u32 dst, u32 bytes)
         remaining -= packet;
     }
     return delivered;
-}
-
-Cycle
-Topology::hostTransfer(Cycle now, u32 chip, u32 bytes)
-{
-    if (chip >= cfg_.numChips())
-        fatal("no chip %u in the system", chip);
-    if (bytes == 0)
-        fatal("cannot transfer zero bytes on the host link");
-    const Cycle serialization =
-        (bytes + cfg_.linkBytesPerCycle - 1) / cfg_.linkBytesPerCycle;
-    const Cycle start = std::max(now, hostFree_[chip]);
-    queueCycles_ += start - now;
-    hostFree_[chip] = start + serialization;
-    bytesMoved_ += bytes;
-    ++messages_;
-    return start + serialization + cfg_.routerLatency;
 }
 
 } // namespace cyclops::net

@@ -5,9 +5,10 @@
  * Each Cyclops chip provides six input and six output links that
  * directly connect chips in a three-dimensional mesh or torus; the
  * links are 16 bits wide at 500 MHz (1 GB/s each, 12 GB/s of I/O per
- * chip), and a seventh link attaches a host computer. Large systems
- * are built by replicating the chip in this regular pattern — the
- * cellular approach (the Blue Gene vision the paper cites).
+ * chip), and a seventh link attaches a host computer (not modelled).
+ * Large systems are built by replicating the chip in this regular
+ * pattern — the cellular approach (the Blue Gene vision the paper
+ * cites).
  *
  * This module models message timing over the fabric: dimension-order
  * routing, cut-through packet forwarding, and per-link occupancy
@@ -28,9 +29,9 @@ namespace cyclops::net
 {
 
 /** Output-port directions of one chip. */
-enum class Dir : u8 { XPlus, XMinus, YPlus, YMinus, ZPlus, ZMinus, Host };
+enum class Dir : u8 { XPlus, XMinus, YPlus, YMinus, ZPlus, ZMinus };
 
-inline constexpr u32 kNumDirs = 6; ///< mesh/torus links (host separate)
+inline constexpr u32 kNumDirs = 6; ///< mesh/torus links
 
 /** Position of a chip in the 3-D grid. */
 struct Coord
@@ -164,12 +165,6 @@ class Topology
      */
     Cycle send(Cycle now, u32 src, u32 dst, u32 bytes);
 
-    /**
-     * DMA over the host link of @p chip (the seventh link).
-     * @return completion cycle.
-     */
-    Cycle hostTransfer(Cycle now, u32 chip, u32 bytes);
-
     /** Idealized uncontended latency for a payload (tests, planning). */
     Cycle uncontendedLatency(u32 src, u32 dst, u32 bytes) const;
 
@@ -185,7 +180,6 @@ class Topology
     NetConfig cfg_;
     std::vector<Coord> coords_;   ///< by chip id: no division per lookup
     std::vector<Cycle> linkFree_; ///< chip x direction occupancy
-    std::vector<Cycle> hostFree_; ///< per-chip host link
     StatGroup stats_;
     Counter messages_;
     Counter bytesMoved_;

@@ -409,8 +409,7 @@ Cycle
 timedRun(const StreamConfig &cfg, const ChipConfig &chipCfg,
          const Layout &lay, u32 iterations, bool *verified,
          u64 *instructions = nullptr,
-         StreamResult *longRunOut = nullptr,
-         StreamResult *hostOut = nullptr)
+         StreamResult *longRunOut = nullptr)
 {
     Chip chip(chipCfg);
     kernel::Kernel kern(chip, cfg.policy);
@@ -423,8 +422,6 @@ timedRun(const StreamConfig &cfg, const ChipConfig &chipCfg,
         *verified = verify(chip, cfg, lay);
     if (instructions)
         *instructions += chip.totalInstructions();
-    if (hostOut && chipCfg.obs.hostObs)
-        hostOut->host.add(chip.hostObsSnapshot());
     if (longRunOut) {
         // Only the long run exports: it is the representative steady-
         // state simulation, and a second export would clobber its files.
@@ -454,10 +451,9 @@ runStream(const StreamConfig &cfg, const ChipConfig &chipCfg)
     u64 instructions = 0;
     StreamResult result;
     const Cycle shortRun =
-        timedRun(cfg, chipCfg, lay, 2, nullptr, &instructions,
-                 nullptr, &result);
+        timedRun(cfg, chipCfg, lay, 2, nullptr, &instructions);
     const Cycle longRun = timedRun(cfg, chipCfg, lay, 4, &verified,
-                                   &instructions, &result, &result);
+                                   &instructions, &result);
     const Cycle iter =
         longRun > shortRun ? (longRun - shortRun) / 2 : shortRun;
 

@@ -34,7 +34,6 @@
 
 #include "arch/unit.h"
 #include "common/config.h"
-#include "common/hostobs.h"
 #include "isa/isa.h"
 #include "kernel/kernel.h"
 
@@ -94,9 +93,6 @@ struct StreamResult
     // timed runs of the differencing scheme.
     u64 simCycles = 0;          ///< simulated chip cycles executed
     u64 instructions = 0;       ///< guest instructions executed
-
-    /** Host telemetry totals over both timed runs (obs.hostObs). */
-    HostObsSnapshot host;
 
     /** Chip-wide cycle attribution of the long (4-iteration) run. */
     arch::CycleBreakdown attr;

@@ -11,7 +11,9 @@
  * decoded state) breaks one of these tests.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <stdexcept>
 #include <thread>
@@ -285,10 +287,16 @@ TEST(SimPool, SerialPoolRunsInline)
     EXPECT_TRUE(sameThread);
 }
 
+// Resolves counts only: no pool is built, so the huge request starts
+// no threads.
 TEST(SimPool, ResolveJobs)
 {
-    EXPECT_EQ(SimPool::resolveJobs(5), 5u);
-    EXPECT_GE(SimPool::resolveJobs(0), 1u);
+    const unsigned hw = std::thread::hardware_concurrency();
+    const u32 all = hw ? u32(hw) : 1u;
+    EXPECT_EQ(SimPool::resolveJobs(0), all);
+    EXPECT_EQ(SimPool::resolveJobs(1), 1u);
+    EXPECT_EQ(SimPool::resolveJobs(5), std::min(5u, all));
+    EXPECT_EQ(SimPool::resolveJobs(UINT32_MAX), all);
 }
 
 TEST(ShardCrew, RunsEveryWorkerExactlyOnce)

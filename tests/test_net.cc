@@ -106,15 +106,6 @@ TEST(Net, LargeMessagesPipelinePackets)
     EXPECT_GE(t, 512u); // cannot beat pure serialization
 }
 
-TEST(Net, HostLink)
-{
-    Topology fabric;
-    const Cycle first = fabric.hostTransfer(0, 0, 1024);
-    const Cycle second = fabric.hostTransfer(0, 0, 1024);
-    EXPECT_EQ(first, 512u + fabric.config().routerLatency);
-    EXPECT_EQ(second, 1024u + fabric.config().routerLatency);
-}
-
 TEST(Net, PeakIoBandwidthMatchesPaper)
 {
     // Six in + six out 16-bit 500 MHz links = 12 GB/s per chip.

@@ -262,10 +262,10 @@ TEST(Observability, ParseTraceCats)
     EXPECT_EQ(parseTraceCats("mem"), traceBit(TraceCat::Mem));
     EXPECT_EQ(parseTraceCats("mem,barrier"),
               u8(traceBit(TraceCat::Mem) | traceBit(TraceCat::Barrier)));
-    EXPECT_EQ(parseTraceCats("mem,cache,barrier,kernel,sched,host,net"),
+    EXPECT_EQ(parseTraceCats("mem,cache,barrier,kernel,sched,net"),
               kTraceAll);
-    EXPECT_EQ(parseTraceCats("host"), traceBit(TraceCat::Host));
     EXPECT_EQ(parseTraceCats("net"), traceBit(TraceCat::Net));
+    EXPECT_DEATH(parseTraceCats("host"), "unknown trace category 'host'");
 }
 
 // The TSan preset runs every Observability test: this one drives the

@@ -7,10 +7,6 @@ Used by the ctest smoke tests (and handy interactively):
   check_trace.py --stats stats.json   validate the stats JSON
   check_trace.py --csv series.csv     validate the epoch-series CSV
 
---expect-host additionally requires every --trace file to carry host
-telemetry (the pid-2 "cyclops-host" process emitted under --host-obs
-with the host trace category enabled).
-
 --expect-chips N requires every --trace file to be a merged
 multi-chip trace (cyclops-run --chips / arch::System): exactly N chip
 processes named "cyclops-chip0".."cyclops-chip<N-1>" on pids 10..10+N-1,
@@ -37,8 +33,8 @@ def fail(msg: str) -> None:
     sys.exit(1)
 
 
-def check_trace(path: str, expect_host: bool = False,
-                expect_chips: int = 0, expect_links: int = 0) -> None:
+def check_trace(path: str, expect_chips: int = 0,
+                expect_links: int = 0) -> None:
     """Chrome trace-event JSON as Perfetto/about:tracing load it."""
     with open(path) as f:
         doc = json.load(f)
@@ -51,8 +47,6 @@ def check_trace(path: str, expect_host: bool = False,
     # only) is valid Chrome-trace JSON and must be accepted: Perfetto
     # loads it, and the tracer emits it when nothing was recorded.
     if not events:
-        if expect_host:
-            fail(f"{path}: empty trace but host telemetry expected")
         if expect_chips:
             fail(f"{path}: empty trace but {expect_chips} chip "
                  f"processes expected")
@@ -62,9 +56,7 @@ def check_trace(path: str, expect_host: bool = False,
         print(f"{path}: ok (empty trace)")
         return
     n_spans = 0
-    n_host = 0
     n_flows = 0
-    host_process_named = False
     fabric_process_named = False
     chip_procs = {}  # pid -> process_name for the 10+i chip tracks
     link_tracks = set()  # fabric (pid 3) thread names "link.<a>-><b>"
@@ -73,13 +65,14 @@ def check_trace(path: str, expect_host: bool = False,
         for key in ("ph", "pid"):
             if key not in ev:
                 fail(f"{path}: event {i} missing '{key}'")
+        # pid 1 is the standalone chip, 3 the fabric, 10+ the chips of
+        # a multi-chip run; no exporter writes pid 2.
+        if ev["pid"] == 2:
+            fail(f"{path}: event {i} on the unused pid 2")
         ph = ev["ph"]
         if ph == "M":
             if "name" not in ev or "args" not in ev:
                 fail(f"{path}: metadata event {i} malformed")
-            if (ev["name"] == "process_name" and ev["pid"] == 2 and
-                    ev["args"].get("name") == "cyclops-host"):
-                host_process_named = True
             if (ev["name"] == "process_name" and ev["pid"] == 3 and
                     ev["args"].get("name") == "cyclops-fabric"):
                 fabric_process_named = True
@@ -94,14 +87,6 @@ def check_trace(path: str, expect_host: bool = False,
         for key in ("name", "tid", "ts", "cat"):
             if key not in ev:
                 fail(f"{path}: event {i} missing '{key}'")
-        if ev["cat"] == "host":
-            # Host telemetry rides on its own dedicated process so
-            # guest timelines never interleave with wall-clock spans.
-            if ev["pid"] != 2:
-                fail(f"{path}: host event {i} not on pid 2")
-            n_host += 1
-        elif ev["pid"] == 2:
-            fail(f"{path}: non-host event {i} on the host pid")
         if ev["cat"] == "net":
             # Fabric events ride the dedicated pid-3 fabric process.
             if ev["pid"] != 3:
@@ -130,10 +115,9 @@ def check_trace(path: str, expect_host: bool = False,
             n_flows += 1
         else:
             fail(f"{path}: event {i} has unknown phase '{ph}'")
-    # Chronological order is checked per process: guest events use the
-    # simulated-cycle timebase, host events wall-clock nanoseconds, so
-    # only within a pid is the order meaningful. The exporter sorts
-    # each group; verify so regressions surface.
+    # Chronological order is checked per process: the exporter sorts
+    # each process's events on its own, so only within a pid is the
+    # order guaranteed. Verify so regressions surface.
     by_pid = {}
     for ev in events:
         if ev["ph"] != "M":
@@ -141,12 +125,6 @@ def check_trace(path: str, expect_host: bool = False,
     for pid, ts in by_pid.items():
         if ts != sorted(ts):
             fail(f"{path}: pid {pid} events not sorted by timestamp")
-    if n_host and not host_process_named:
-        fail(f"{path}: host events present but no cyclops-host "
-             f"process_name metadata")
-    if expect_host and not n_host:
-        fail(f"{path}: no host telemetry events (expected --host-obs "
-             f"with the host trace category)")
     # Multi-chip traces (arch::System) put each chip on its own
     # process: pid 10+i named "cyclops-chipI". The naming must match
     # the pid so Perfetto tracks line up with chip ids.
@@ -187,7 +165,7 @@ def check_trace(path: str, expect_host: bool = False,
                  f"want --expect-links {expect_links}")
         if not events_per_pid.get(3):
             fail(f"{path}: fabric process (pid 3) has no events")
-    extra = f", {n_host} host" if n_host else ""
+    extra = ""
     if chip_procs:
         extra += f", {len(chip_procs)} chips"
     if link_tracks:
@@ -260,8 +238,6 @@ def main() -> None:
                         help="stats JSON file to validate")
     parser.add_argument("--csv", action="append", default=[],
                         help="epoch-series CSV file to validate")
-    parser.add_argument("--expect-host", action="store_true",
-                        help="require host telemetry in every trace")
     parser.add_argument("--expect-chips", type=int, default=0,
                         help="require N chip processes (pids 10..10+N-1)"
                              " in every trace")
@@ -272,8 +248,7 @@ def main() -> None:
     if not (args.trace or args.stats or args.csv):
         fail("nothing to check (use --trace/--stats/--csv)")
     for path in args.trace:
-        check_trace(path, expect_host=args.expect_host,
-                    expect_chips=args.expect_chips,
+        check_trace(path, expect_chips=args.expect_chips,
                     expect_links=args.expect_links)
     for path in args.stats:
         check_stats(path)

@@ -22,10 +22,10 @@
  * a structured fabric-failure exit, sdc is a checksum escape.
  *
  * Observability passthrough (DESIGN.md section 10): --stats-json,
- * --stats-csv, --stats-interval, --trace-out, --trace-cats,
- * --trace-capacity and --host-obs apply to the *injected* runs (the
- * golden and baseline runs stay quiet). Put "%t" in output paths — it
- * expands to "i<iteration>" so parallel jobs never share a file:
+ * --stats-csv, --stats-interval, --trace-out, --trace-cats and
+ * --trace-capacity apply to the *injected* runs (the golden and
+ * baseline runs stay quiet). Put "%t" in output paths — it expands to
+ * "i<iteration>" so parallel jobs never share a file:
  *
  *   cyclops-faultcamp --iters 16 --stats-json 'camp-%t.json'
  *
@@ -33,10 +33,12 @@
  * 2 on a usage error.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/log.h"
@@ -63,8 +65,7 @@ usage(const char *argv0, const char *why)
                  "[--stats-interval N]\n"
                  "       [--trace-out P] [--trace-cats LIST] "
                  "[--trace-capacity N]\n"
-                 "       [--host-obs]   (paths may contain %%t -> "
-                 "\"i<iter>\")\n",
+                 "       (paths may contain %%t -> \"i<iter>\")\n",
                  argv0);
     return 2;
 }
@@ -145,8 +146,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--trace-capacity") == 0) {
             numArg(&v);
             opts.obs.traceCapacity = u32(v);
-        } else if (std::strcmp(arg, "--host-obs") == 0) {
-            opts.obs.hostObs = true;
         } else {
             return usage(argv[0],
                          strprintf("unknown argument '%s'", arg).c_str());
@@ -162,8 +161,10 @@ main(int argc, char **argv)
     if (!opts.obs.traceOut.empty() && opts.obs.traceCats == 0)
         opts.obs.traceCats = kTraceAll;
 
-    const fault::CampaignResult res =
-        fault::runCampaign(opts, u32(jobs));
+    // Saturate rather than truncate: SimPool::resolveJobs clamps any
+    // count past the hardware thread count.
+    const fault::CampaignResult res = fault::runCampaign(
+        opts, u32(std::min<u64>(jobs, std::numeric_limits<u32>::max())));
 
     std::printf("%u injections:", opts.iterations);
     for (unsigned c = 0; c < fault::kNumOutcomes; ++c)
@@ -172,11 +173,9 @@ main(int argc, char **argv)
     std::printf("\n");
 
     if (!outPath.empty()) {
-        std::FILE *out = std::fopen(outPath.c_str(), "w");
-        if (!out)
-            fatal("cannot open %s for writing", outPath.c_str());
+        std::FILE *out = openOutput(outPath, "campaign output");
         fault::writeCampaignJson(res, out);
-        std::fclose(out);
+        closeOutput(out, outPath);
     } else {
         fault::writeCampaignJson(res, stdout);
     }

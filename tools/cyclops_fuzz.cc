@@ -14,10 +14,10 @@
  *                                              report a divergence
  *
  * Observability passthrough (DESIGN.md section 10): --stats-json,
- * --stats-csv, --stats-interval, --trace-out, --trace-cats,
- * --trace-capacity and --host-obs apply to the timing-side chips. Put
- * "%t" in output paths — it expands to "i<iteration>" so iterations
- * do not overwrite each other's files.
+ * --stats-csv, --stats-interval, --trace-out, --trace-cats and
+ * --trace-capacity apply to the timing-side chips. Put "%t" in output
+ * paths — it expands to "i<iteration>" so iterations do not overwrite
+ * each other's files.
  *
  * Exit status: 0 on a clean campaign, 1 if any program diverged.
  */
@@ -47,8 +47,7 @@ usage(const char *argv0)
                  "[--stats-interval N]\n"
                  "       [--trace-out P] [--trace-cats LIST] "
                  "[--trace-capacity N]\n"
-                 "       [--host-obs]   (paths may contain %%t -> "
-                 "\"i<iter>\")\n",
+                 "       (paths may contain %%t -> \"i<iter>\")\n",
                  argv0);
     std::exit(2);
 }
@@ -92,8 +91,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(argv[i], "--trace-capacity") == 0 &&
                    i + 1 < argc) {
             opts.obs.traceCapacity = u32(std::atoi(argv[++i]));
-        } else if (std::strcmp(argv[i], "--host-obs") == 0) {
-            opts.obs.hostObs = true;
         } else if (std::strcmp(argv[i], "--mutate") == 0 && i + 1 < argc) {
             const std::string name = argv[++i];
             if (name == "add-off-by-one")

@@ -47,7 +47,7 @@
  *   --trace-out trace.json   Chrome-trace events (load in Perfetto);
  *                            with --chips, the fabric appears as its
  *                            own process with per-link tracks
- *   --trace-cats LIST        mem,cache,barrier,kernel,sched,host,net
+ *   --trace-cats LIST        mem,cache,barrier,kernel,sched,net
  *                            or "all"
  *   --trace-capacity N       tracer ring size in events
  *   --fabric-stats out.json  fabric stats JSON (needs --chips; schema
@@ -61,9 +61,6 @@
  *                            base.heatmap.csv (bank heatmap)
  *   --prof-interval N        sample period in cycles (default 512
  *                            when --prof-out is given)
- *   --host-obs               host-side simulator telemetry: hostObs
- *                            section in --stats-json, host process in
- *                            --trace-out (DESIGN.md section 15)
  *   --manifest out.json      per-run manifest (config hash,
  *                            git describe, headline counters)
  *
@@ -92,8 +89,8 @@
 #include "arch/chip.h"
 #include "arch/system.h"
 #include "common/config.h"
-#include "common/hostobs.h"
 #include "common/log.h"
+#include "common/manifest.h"
 #include "common/trace.h"
 #include "isa/assembler.h"
 #include "isa/disassembler.h"
@@ -122,7 +119,7 @@ usage(const char *argv0)
                  "[--trace-capacity N]\n"
                  "       [--prof-out P] [--prof-interval N]\n"
                  "       [--fabric-stats P] [--fabric-heatmap P]\n"
-                 "       [--host-obs] [--manifest P]\n"
+                 "       [--manifest P]\n"
                  "       [--disable-link A->B] [--link-flaky A->B=PPM]\n"
                  "       [--link-derate A->B=N] [--fabric-fault-seed N]\n"
                  "       [--fabric-fault-at N]\n"
@@ -410,8 +407,6 @@ main(int argc, char **argv)
         } else if (std::strcmp(arg, "--fabric-heatmap") == 0 &&
                    i + 1 < argc) {
             obs.fabricHeatmap = argv[++i];
-        } else if (std::strcmp(arg, "--host-obs") == 0) {
-            obs.hostObs = true;
         } else if (std::strcmp(arg, "--manifest") == 0 && i + 1 < argc) {
             manifestPath = argv[++i];
         } else if (std::strcmp(arg, "--disable-link") == 0 &&
