@@ -57,6 +57,7 @@
 #include "common/log.h"
 #include "common/manifest.h"
 #include "common/parallel.h"
+#include "common/parse.h"
 #include "common/table.h"
 #include "common/trace.h"
 #include "common/types.h"
@@ -108,13 +109,23 @@ usage(const char *argv0, const std::string &why = "")
 inline u32
 parseJobs(const char *argv0, const char *what, const char *text)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0' || std::strchr(text, '-') != nullptr)
+    u64 v = 0;
+    if (!parseU64(text, &v))
         usage(argv0, strprintf("%s needs a nonnegative number, got '%s'",
                                what, text));
-    return SimPool::resolveJobs(u32(std::min<unsigned long long>(
-        v, std::numeric_limits<u32>::max())));
+    return SimPool::resolveJobs(
+        u32(std::min<u64>(v, std::numeric_limits<u32>::max())));
+}
+
+/** Parse a u32 option value, or exit 2 naming @p what. */
+inline u32
+parseCount(const char *argv0, const char *what, const char *text)
+{
+    u32 v = 0;
+    if (!parseU32(text, &v))
+        usage(argv0, strprintf("%s needs a nonnegative number, got '%s'",
+                               what, text));
+    return v;
 }
 
 inline Options
@@ -124,14 +135,20 @@ parseOptions(int argc, char **argv)
     opts.startNs = hostNowNs();
     if (const char *env = std::getenv("CYCLOPS_BENCH_JOBS"))
         opts.jobs = parseJobs(argv[0], "CYCLOPS_BENCH_JOBS", env);
-    for (int i = 1; i < argc; ++i) {
+    int i = 1;
+    // The value of the numeric option argv[i] (exit 2 if malformed).
+    auto count = [&] {
+        const char *what = argv[i];
+        return parseCount(argv[0], what, argv[++i]);
+    };
+    for (; i < argc; ++i) {
         if (std::strcmp(argv[i], "--quick") == 0) {
             opts.quick = true;
         } else if (std::strcmp(argv[i], "--csv") == 0) {
             opts.csv = true;
         } else if (std::strcmp(argv[i], "--scale") == 0 &&
                    i + 1 < argc) {
-            opts.scale = u32(std::atoi(argv[++i]));
+            opts.scale = count();
         } else if (std::strcmp(argv[i], "--jobs") == 0 &&
                    i + 1 < argc) {
             opts.jobs = parseJobs(argv[0], "--jobs", argv[++i]);
@@ -143,7 +160,7 @@ parseOptions(int argc, char **argv)
             opts.obs.traceCats = parseTraceCats(argv[++i]);
         } else if (std::strcmp(argv[i], "--trace-capacity") == 0 &&
                    i + 1 < argc) {
-            opts.obs.traceCapacity = u32(std::atoi(argv[++i]));
+            opts.obs.traceCapacity = count();
         } else if (std::strcmp(argv[i], "--stats-json") == 0 &&
                    i + 1 < argc) {
             opts.obs.statsJson = argv[++i];
@@ -152,13 +169,13 @@ parseOptions(int argc, char **argv)
             opts.obs.statsCsv = argv[++i];
         } else if (std::strcmp(argv[i], "--stats-interval") == 0 &&
                    i + 1 < argc) {
-            opts.obs.statsInterval = u32(std::atoi(argv[++i]));
+            opts.obs.statsInterval = count();
         } else if (std::strcmp(argv[i], "--prof-out") == 0 &&
                    i + 1 < argc) {
             opts.obs.profOut = argv[++i];
         } else if (std::strcmp(argv[i], "--prof-interval") == 0 &&
                    i + 1 < argc) {
-            opts.obs.profInterval = u32(std::atoi(argv[++i]));
+            opts.obs.profInterval = count();
         } else if (std::strcmp(argv[i], "--fabric-stats") == 0 &&
                    i + 1 < argc) {
             opts.obs.fabricStats = argv[++i];
@@ -170,30 +187,30 @@ parseOptions(int argc, char **argv)
             opts.manifestOut = argv[++i];
         } else if (std::strcmp(argv[i], "--disable-tu") == 0 &&
                    i + 1 < argc) {
-            opts.fault.disabledTus.push_back(u32(std::atoi(argv[++i])));
+            opts.fault.disabledTus.push_back(count());
         } else if (std::strcmp(argv[i], "--disable-quad") == 0 &&
                    i + 1 < argc) {
-            opts.fault.disabledQuads.push_back(u32(std::atoi(argv[++i])));
+            opts.fault.disabledQuads.push_back(count());
         } else if (std::strcmp(argv[i], "--disable-fpu") == 0 &&
                    i + 1 < argc) {
-            opts.fault.disabledFpus.push_back(u32(std::atoi(argv[++i])));
+            opts.fault.disabledFpus.push_back(count());
         } else if (std::strcmp(argv[i], "--disable-dcache") == 0 &&
                    i + 1 < argc) {
-            opts.fault.disabledDcaches.push_back(
-                u32(std::atoi(argv[++i])));
+            opts.fault.disabledDcaches.push_back(count());
         } else if (std::strcmp(argv[i], "--disable-icache") == 0 &&
                    i + 1 < argc) {
-            opts.fault.disabledIcaches.push_back(
-                u32(std::atoi(argv[++i])));
+            opts.fault.disabledIcaches.push_back(count());
         } else if (std::strcmp(argv[i], "--disable-bank") == 0 &&
                    i + 1 < argc) {
-            opts.fault.disabledBanks.push_back(u32(std::atoi(argv[++i])));
+            opts.fault.disabledBanks.push_back(count());
         } else if (std::strcmp(argv[i], "--cache-ways") == 0 &&
                    i + 1 < argc) {
-            opts.fault.cacheWays = u32(std::atoi(argv[++i]));
+            opts.fault.cacheWays = count();
         } else if (std::strcmp(argv[i], "--watchdog") == 0 &&
                    i + 1 < argc) {
-            opts.fault.watchdogCycles = u64(std::atoll(argv[++i]));
+            if (!parseU64(argv[++i], &opts.fault.watchdogCycles))
+                usage(argv[0], strprintf("--watchdog needs a nonnegative "
+                                         "number, got '%s'", argv[i]));
         } else {
             usage(argv[0]);
         }

@@ -72,15 +72,19 @@ class Pib
     init(const ChipConfig &cfg)
     {
         windowBytes_ = cfg.pibEntries * 4;
-        base_ = ~PhysAddr(0);
         enabled_ = cfg.pibEnabled;
+        invalidate();
     }
 
-    /** True if @p pc can issue straight from the buffer. */
+    /**
+     * True if @p pc can issue straight from the buffer: one unsigned
+     * compare. An empty buffer accepts nothing (span 0), a disabled one
+     * everything (the whole address space).
+     */
     bool
     contains(PhysAddr pc) const
     {
-        return !enabled_ || (pc >= base_ && pc < base_ + windowBytes_);
+        return pc - base_ < span_;
     }
 
     /** Aligned window base for a refill at @p pc. */
@@ -91,12 +95,23 @@ class Pib
     }
 
     /** Install the window holding @p pc. */
-    void load(PhysAddr pc) { base_ = windowBase(pc); }
+    void
+    load(PhysAddr pc)
+    {
+        base_ = windowBase(pc);
+        span_ = windowBytes_;
+    }
 
-    void invalidate() { base_ = ~PhysAddr(0); }
+    void
+    invalidate()
+    {
+        base_ = 0;
+        span_ = enabled_ ? 0 : ~PhysAddr(0);
+    }
 
   private:
-    PhysAddr base_ = ~PhysAddr(0);
+    PhysAddr base_ = 0;
+    PhysAddr span_ = 0; ///< bytes contains() accepts from base_ on
     u32 windowBytes_ = 64;
     bool enabled_ = true;
 };

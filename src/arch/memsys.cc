@@ -79,17 +79,12 @@ void
 MemSystem::updateBankGeometry()
 {
     const u32 numAvail = u32(availBanks_.size());
+    availBytes_ = numAvail * cfg_->bankBytes;
     banksPow2_ = isPow2(numAvail);
     if (banksPow2_) {
         bankShift_ = log2i(numAvail);
         bankMask_ = numAvail - 1;
     }
-}
-
-u32
-MemSystem::availableMemBytes() const
-{
-    return u32(availBanks_.size()) * cfg_->bankBytes;
 }
 
 MemSystem::BankRoute
@@ -164,7 +159,7 @@ MemSystem::postWrite(Cycle when, PhysAddr lineAddr, u32 blocks,
         noteBank(requester, r, when, grant);
 }
 
-CacheId
+inline CacheId
 MemSystem::routeCacheEntry(const RouteEntry &entry, Addr ea,
                            ThreadId tid) const
 {
@@ -198,9 +193,6 @@ MemSystem::routeCache(Addr ea, ThreadId tid) const
 MemTiming
 MemSystem::access(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
 {
-    // One LUT lookup replaces the per-access field decode here and the
-    // second decode that routeCache() used to repeat. (Chip::memPtr,
-    // the functional half of the same access, does its own lookup.)
     const RouteEntry &entry = routeLut_[igField(ea)];
     const PhysAddr pa = igPhys(ea);
     const bool scratch = entry.cls == IgClass::Scratch;
@@ -220,7 +212,14 @@ MemSystem::access(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
             guestCheck("scratchpad access to disabled cache %u "
                        "(thread %u)", sc, tid);
     }
+    return accessDecoded(now, tid, entry, ea, pa, bytes, kind);
+}
 
+MemTiming
+MemSystem::accessDecoded(Cycle now, ThreadId tid, const RouteEntry &entry,
+                         Addr ea, PhysAddr pa, u8 bytes, MemKind kind)
+{
+    const bool scratch = entry.cls == IgClass::Scratch;
     const CacheId target = routeCacheEntry(entry, ea, tid);
     const CacheId local = localCacheOf(tid);
     const bool remote = target != local;
@@ -270,19 +269,24 @@ MemSystem::access(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
         if (!scratch)
             res.hit ? ++igHit_[cls] : ++igMiss_[cls];
     }
-    if (tracer_ && tracer_->enabled()) {
-        static const char *const kKindNames[] = {"load", "store", "atomic",
-                                                 "prefetch"};
-        tracer_->complete(TraceCat::Mem, tid,
-                          kKindNames[static_cast<u8>(kind)], now,
-                          ready - now, ea);
-        if (!res.hit && !scratch)
-            tracer_->complete(TraceCat::Cache, tid,
-                              remote ? "remoteMiss" : "localMiss", now,
-                              ready - now, ea);
-    }
+    if (tracer_ && tracer_->enabled()) [[unlikely]]
+        traceAccess(tid, now, ready, ea, kind, !res.hit && !scratch, remote);
 
     return MemTiming{ready, target, remote, res.hit, res.queueWait};
+}
+
+void
+MemSystem::traceAccess(ThreadId tid, Cycle now, Cycle ready, Addr ea,
+                       MemKind kind, bool miss, bool remote)
+{
+    static const char *const kKindNames[] = {"load", "store", "atomic",
+                                             "prefetch"};
+    tracer_->complete(TraceCat::Mem, tid, kKindNames[static_cast<u8>(kind)],
+                      now, ready - now, ea);
+    if (miss)
+        tracer_->complete(TraceCat::Cache, tid,
+                          remote ? "remoteMiss" : "localMiss", now,
+                          ready - now, ea);
 }
 
 Cycle

@@ -122,6 +122,15 @@ class MemSystem
         return routeLut_[field];
     }
 
+    /**
+     * access() of a reference whose address the caller has already
+     * decoded and checked (Chip::decodeMem): @p entry is the route of
+     * @p ea and @p pa its physical address.
+     */
+    MemTiming accessDecoded(Cycle now, ThreadId tid,
+                            const RouteEntry &entry, Addr ea, PhysAddr pa,
+                            u8 bytes, MemKind kind);
+
     /** Bank id + bank-local address an embedded address maps to. */
     std::pair<BankId, PhysAddr> routeInfo(PhysAddr addr) const;
 
@@ -140,7 +149,7 @@ class MemSystem
     bool cacheEnabled(CacheId id) const { return (cacheMask_ >> id) & 1u; }
 
     /** Bytes of embedded memory currently addressable (MEMSZ SPR). */
-    u32 availableMemBytes() const;
+    u32 availableMemBytes() const { return availBytes_; }
 
     /** Number of operational banks. */
     u32 availableBanks() const { return u32(availBanks_.size()); }
@@ -182,6 +191,9 @@ class MemSystem
 
     CacheId routeCacheEntry(const RouteEntry &entry, Addr ea,
                             ThreadId tid) const;
+    [[gnu::cold]] void traceAccess(ThreadId tid, Cycle now, Cycle ready,
+                                   Addr ea, MemKind kind, bool miss,
+                                   bool remote);
     void rebuildRouteLut();
     void updateBankGeometry();
 
@@ -200,6 +212,7 @@ class MemSystem
     bool banksPow2_ = true;
     u32 bankShift_ = 4;
     u32 bankMask_ = 15;
+    u32 availBytes_ = 0; ///< availableMemBytes()
 
     std::array<RouteEntry, 256> routeLut_;
     std::vector<CacheId> ownRemap_; ///< Own-class target per local cache

@@ -1,5 +1,6 @@
 #include "arch/thread_unit.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 
@@ -10,10 +11,7 @@
 namespace cyclops::arch
 {
 
-using isa::Instr;
-using isa::InstrMeta;
 using isa::Opcode;
-using isa::UnitClass;
 
 ThreadUnit::ThreadUnit(ThreadId tid, Chip &chip, PhysAddr entry)
     : Unit(tid), chip_(chip), pc_(entry)
@@ -59,6 +57,365 @@ ThreadUnit::setRegPair(unsigned even, double value)
     setReg(even + 1, u32(raw >> 32));
 }
 
+[[gnu::always_inline]] inline Cycle
+ThreadUnit::waitMemSlot(Cycle now)
+{
+    mem_.prune(now);
+    if (!mem_.full())
+        return 0;
+    const Cycle wake = std::max(mem_.earliest(), now + 1);
+    accountWait(now, wake,
+                mem_.earliestFabric() ? CycleCat::RemoteWait
+                                      : CycleCat::DcacheMiss);
+    return wake;
+}
+
+// Inlined into tick(), its one caller: one call per issued instruction.
+[[gnu::always_inline]] inline Cycle
+ThreadUnit::issue(Cycle now, const DecodedInstr &d)
+{
+    const LatencyConfig &lat = chip_.config().lat;
+    const u8 rd = d.rd, ra = d.ra, rb = d.rb;
+    const s32 imm = d.imm;
+    const u32 a = rf_[ra].value, b = rf_[rb].value;
+    const PhysAddr nextPc = pc_ + 4;
+
+    // The tails the opcodes share, one switch below dispatching to them.
+    auto alu = [&](u32 result) __attribute__((always_inline)) {
+        // Watchdog food: producing a *new* value is forward progress; a
+        // spin loop recomputing the same mask/compare result is not.
+        if (rd != 0 && rf_[rd].value != result)
+            noteProgress();
+        setReg(rd, result);
+        setRegReady(rd, now + 1);
+        accountIssue(now, 1);
+        pc_ = nextPc;
+        return now + 1;
+    };
+    auto longOp = [&](u32 result, u32 exec, Cycle readyAt,
+                      CycleCat producer) __attribute__((always_inline)) {
+        noteProgress();
+        setReg(rd, result);
+        setRegReady(rd, readyAt, producer);
+        accountIssue(now, exec);
+        pc_ = nextPc;
+        return now + exec;
+    };
+    auto branch = [&](bool taken) __attribute__((always_inline)) {
+        pc_ = taken ? nextPc + u32(imm) * 4 : nextPc;
+        accountIssue(now, lat.branchExec);
+        return now + lat.branchExec;
+    };
+    auto link = [&](PhysAddr target) __attribute__((always_inline)) {
+        setReg(rd, nextPc);
+        setRegReady(rd, now + lat.branchExec);
+        pc_ = target;
+        accountIssue(now, lat.branchExec);
+        return now + lat.branchExec;
+    };
+    auto fp = [&](auto compute) __attribute__((always_inline)) {
+        Cycle resultAt = 0;
+        if (!chip_.fpuOf(tid_).dispatch(now, d.port, &resultAt)) {
+            accountWait(now, now + 1, CycleCat::FpuArb);
+            return now + 1; // shared FPU busy: retry (round-robin)
+        }
+        compute();
+        noteProgress();
+        setRegReady(rd, resultAt, CycleCat::FpuArb);
+        if (d.flags & DecodedInstr::kPairRd)
+            setRegReady(rd + 1, resultAt, CycleCat::FpuArb);
+        accountIssue(now, 1);
+        pc_ = nextPc;
+        return now + 1;
+    };
+    auto simple = [&]() __attribute__((always_inline)) {
+        noteProgress();
+        accountIssue(now, 1);
+        pc_ = nextPc;
+        return now + 1;
+    };
+    auto stop = [&]() __attribute__((always_inline)) {
+        markHalted();
+        accountIssue(now, 1);
+        return kCycleNever;
+    };
+
+    switch (d.op) {
+      case Opcode::Add: return alu(a + b);
+      case Opcode::Sub: return alu(a - b);
+      case Opcode::And: return alu(a & b);
+      case Opcode::Or: return alu(a | b);
+      case Opcode::Xor: return alu(a ^ b);
+      case Opcode::Nor: return alu(~(a | b));
+      case Opcode::Sll: return alu(a << (b & 31));
+      case Opcode::Srl: return alu(a >> (b & 31));
+      case Opcode::Sra: return alu(u32(s32(a) >> (b & 31)));
+      case Opcode::Slt: return alu(s32(a) < s32(b));
+      case Opcode::Sltu: return alu(a < b);
+      case Opcode::Addi: return alu(a + u32(imm));
+      case Opcode::Andi: return alu(a & u32(imm & 0x1FFF));
+      case Opcode::Ori: return alu(a | u32(imm & 0x1FFF));
+      case Opcode::Xori: return alu(a ^ u32(imm & 0x1FFF));
+      case Opcode::Slli: return alu(a << (imm & 31));
+      case Opcode::Srli: return alu(a >> (imm & 31));
+      case Opcode::Srai: return alu(u32(s32(a) >> (imm & 31)));
+      case Opcode::Slti: return alu(s32(a) < imm);
+      case Opcode::Sltiu: return alu(a < u32(imm));
+      case Opcode::Lui: return alu(u32(imm) << 13);
+
+      case Opcode::Mul:
+      case Opcode::Mulhu: {
+        const u64 product = u64(a) * u64(b);
+        return longOp(d.op == Opcode::Mul ? u32(product)
+                                          : u32(product >> 32),
+                      lat.intMulExec, now + lat.intMulExec + lat.intMulLat,
+                      CycleCat::FpuArb);
+      }
+      case Opcode::Div:
+      case Opcode::Divu: {
+        u32 result;
+        if (b == 0)
+            result = ~0u; // division by zero yields all ones
+        else if (d.op == Opcode::Divu)
+            result = a / b;
+        else if (a == 0x8000'0000u && b == ~0u)
+            result = a; // overflow wraps
+        else
+            result = u32(s32(a) / s32(b));
+        return longOp(result, lat.intDivExec, now + lat.intDivExec,
+                      CycleCat::Run);
+      }
+
+      case Opcode::Beq: return branch(a == b);
+      case Opcode::Bne: return branch(a != b);
+      case Opcode::Blt: return branch(s32(a) < s32(b));
+      case Opcode::Bge: return branch(s32(a) >= s32(b));
+      case Opcode::Bltu: return branch(a < b);
+      case Opcode::Bgeu: return branch(a >= b);
+      case Opcode::Jal: return link(nextPc + u32(imm) * 4);
+      case Opcode::Jalr: return link((a + u32(imm)) & ~3u);
+
+      case Opcode::Lb:
+      case Opcode::Lbu:
+      case Opcode::Lh:
+      case Opcode::Lhu:
+      case Opcode::Lw:
+      case Opcode::Ld:
+      case Opcode::Lwx:
+      case Opcode::Ldx: {
+        if (const Cycle wake = waitMemSlot(now))
+            return wake;
+        const Addr ea =
+            a + ((d.flags & DecodedInstr::kIndexed) ? b : u32(imm));
+        const MemRef ref = chip_.decodeMem(ea, d.memBytes, tid_);
+        u64 raw = chip_.load(ref, tid_);
+        if (d.flags & DecodedInstr::kSignExt)
+            raw = d.memBytes == 1 ? u32(s32(s8(raw))) : u32(s32(s16(raw)));
+        notePoll(pc_, ea, raw);
+        const MemTiming t = chip_.dmem(now, tid_, ref, MemKind::Load);
+        noteDmem(t.hit);
+        const CycleCat prod =
+            t.fabric ? CycleCat::RemoteWait : CycleCat::DcacheMiss;
+        setReg(rd, u32(raw));
+        setRegReady(rd, t.ready, prod, t.queueWait);
+        if (d.memBytes == 8) {
+            setReg(rd + 1, u32(raw >> 32));
+            setRegReady(rd + 1, t.ready, prod, t.queueWait);
+        }
+        mem_.add(t.ready, t.fabric);
+        accountIssue(now, 1);
+        pc_ = nextPc;
+        return now + 1;
+      }
+
+      case Opcode::Sb:
+      case Opcode::Sh:
+      case Opcode::Sw:
+      case Opcode::Sd:
+      case Opcode::Swx:
+      case Opcode::Sdx: {
+        if (const Cycle wake = waitMemSlot(now))
+            return wake;
+        const Addr ea =
+            a + ((d.flags & DecodedInstr::kIndexed) ? b : u32(imm));
+        noteProgress();
+        const MemRef ref = chip_.decodeMem(ea, d.memBytes, tid_);
+        u64 value = rf_[rd].value;
+        if (d.memBytes == 8)
+            value |= u64(rf_[rd + 1].value) << 32;
+        chip_.store(ref, value, tid_);
+        const MemTiming t = chip_.dmem(now, tid_, ref, MemKind::Store);
+        noteDmem(t.hit);
+        mem_.add(t.ready, t.fabric);
+        accountIssue(now, 1);
+        pc_ = nextPc;
+        return now + 1;
+      }
+
+      case Opcode::Amoadd:
+      case Opcode::Amoswap:
+      case Opcode::Amocas:
+      case Opcode::Amotas: {
+        if (const Cycle wake = waitMemSlot(now))
+            return wake;
+        const Addr ea = a;
+        const MemRef ref = chip_.decodeMem(ea, 4, tid_);
+        const u32 old = u32(chip_.load(ref, tid_));
+        // Polling semantics: amotas/amocas re-reading a held lock
+        // makes no progress; a changing value (amoadd tickets,
+        // released locks) does.
+        notePoll(pc_, ea, old);
+        u32 fresh = b;
+        bool doWrite = true;
+        if (d.op == Opcode::Amoadd)
+            fresh = old + b;
+        else if (d.op == Opcode::Amocas)
+            doWrite = old == rf_[rd].value;
+        else if (d.op == Opcode::Amotas)
+            fresh = 1;
+        if (doWrite)
+            chip_.store(ref, fresh, tid_);
+        const MemTiming t = chip_.dmem(now, tid_, ref, MemKind::Atomic);
+        noteDmem(t.hit);
+        setReg(rd, old);
+        setRegReady(rd, t.ready,
+                    t.fabric ? CycleCat::RemoteWait : CycleCat::DcacheMiss,
+                    t.queueWait);
+        mem_.add(t.ready, t.fabric);
+        accountIssue(now, 1);
+        pc_ = nextPc;
+        return now + 1;
+      }
+
+      case Opcode::Faddd:
+      case Opcode::Fsubd:
+      case Opcode::Fmuld:
+      case Opcode::Fdivd:
+        return fp([&] {
+            const double x = regPair(ra), y = regPair(rb);
+            const double result = d.op == Opcode::Faddd   ? x + y
+                                  : d.op == Opcode::Fsubd ? x - y
+                                  : d.op == Opcode::Fmuld ? x * y
+                                                          : x / y;
+            setRegPair(rd, nanFirst(result, {x, y}));
+        });
+      case Opcode::Fsqrtd:
+        return fp([&] { setRegPair(rd, std::sqrt(regPair(ra))); });
+      case Opcode::Fmadd:
+      case Opcode::Fmsub:
+        return fp([&] {
+            const double x = regPair(ra), y = regPair(rb),
+                         z = regPair(rd);
+            const double result =
+                d.op == Opcode::Fmadd ? x * y + z : x * y - z;
+            setRegPair(rd, nanFirst(result, {x, y, z}));
+        });
+      case Opcode::Fnegd:
+        return fp([&] { setRegPair(rd, -regPair(ra)); });
+      case Opcode::Fabsd:
+        return fp([&] { setRegPair(rd, std::fabs(regPair(ra))); });
+      case Opcode::Fmovd:
+        return fp([&] { setRegPair(rd, regPair(ra)); });
+      case Opcode::Fadds:
+      case Opcode::Fsubs:
+      case Opcode::Fmuls:
+        return fp([&] {
+            const float x = std::bit_cast<float>(a),
+                        y = std::bit_cast<float>(b);
+            const float result = d.op == Opcode::Fadds   ? x + y
+                                 : d.op == Opcode::Fsubs ? x - y
+                                                         : x * y;
+            setReg(rd, std::bit_cast<u32>(nanFirst(result, {x, y})));
+        });
+      case Opcode::Fcvtdw:
+        return fp([&] { setRegPair(rd, double(s32(a))); });
+      case Opcode::Fcvtwd:
+        return fp([&] { setReg(rd, u32(f64ToS32(regPair(ra)))); });
+      case Opcode::Fclt:
+        return fp([&] { setReg(rd, regPair(ra) < regPair(rb)); });
+      case Opcode::Fcle:
+        return fp([&] { setReg(rd, regPair(ra) <= regPair(rb)); });
+      case Opcode::Fceq:
+        return fp([&] { setReg(rd, regPair(ra) == regPair(rb)); });
+
+      case Opcode::Mfspr: {
+        const u32 sprValue = chip_.readSpr(tid_, u32(imm));
+        // SPRs live in their own poll namespace, above the 32-bit
+        // effective-address space. Barrier spins re-read the same OR
+        // value (no progress); cycle-counter reads change.
+        notePoll(pc_, (u64(1) << 40) | u32(imm), sprValue);
+        setReg(rd, sprValue);
+        // Waiting on a barrier-SPR read is barrier time; other SPRs
+        // charge like any long-latency functional unit.
+        setRegReady(rd, now + lat.sprLat,
+                    u32(imm) == isa::kSprBarrier ? CycleCat::BarrierWait
+                                                 : CycleCat::FpuArb);
+        accountIssue(now, 1);
+        pc_ = nextPc;
+        return now + 1;
+      }
+      case Opcode::Mtspr:
+        noteProgress();
+        chip_.writeSpr(tid_, u32(imm), a);
+        if (u32(imm) == isa::kSprBarrier) {
+            Tracer &tr = chip_.tracer();
+            if (tr.on(TraceCat::Barrier))
+                tr.instant(TraceCat::Barrier, tid_, "mtspr.barrier", now,
+                           a);
+        }
+        accountIssue(now, 1);
+        pc_ = nextPc;
+        return now + 1;
+
+      case Opcode::Sync: {
+        mem_.prune(now);
+        if (!mem_.empty()) {
+            const Cycle wake = std::max(mem_.latest(), now + 1);
+            accountWait(now, wake,
+                        mem_.latestFabric() ? CycleCat::RemoteWait
+                                            : CycleCat::DcacheMiss);
+            return wake;
+        }
+        return simple();
+      }
+
+      case Opcode::Pref:
+      case Opcode::Dcbf:
+      case Opcode::Dcbi: {
+        if (const Cycle wake = waitMemSlot(now))
+            return wake;
+        const Addr ea = a + u32(imm);
+        Cycle done;
+        if (d.op == Opcode::Pref) {
+            const MemTiming t =
+                chip_.dmem(now, tid_, ea, 4, MemKind::Prefetch);
+            noteDmem(t.hit);
+            done = t.ready;
+        } else if (d.op == Opcode::Dcbf) {
+            done = chip_.memsys().flush(now, tid_, ea);
+        } else {
+            done = chip_.memsys().invalidate(now, tid_, ea);
+        }
+        mem_.add(done);
+        return simple();
+      }
+
+      case Opcode::Halt:
+        return stop();
+      case Opcode::Trap:
+        if (u32(imm) == isa::kTrapExit)
+            return stop();
+        chip_.trap(tid_, u32(imm), rf_[4].value);
+        return simple();
+      case Opcode::Nop:
+        return simple();
+
+      case Opcode::kNumOpcodes:
+        break;
+    }
+    panic("unhandled opcode %u", unsigned(d.op));
+}
+
 Cycle
 ThreadUnit::tick(Cycle now)
 {
@@ -87,21 +444,28 @@ ThreadUnit::tick(Cycle now)
 
     // Register dependences (sources, and WAW on the destination):
     // charge the wait to whatever the producing instruction was
-    // waiting on (its stall category and queueing share). The max over
-    // the predecoded slots is strict, so of equally late operands the
-    // first in ra, rb, rd order is charged; absent slots are r0, ready
-    // at 0, and never win. Selects, not branches: which operand is
-    // latest is data-dependent and mispredicts.
+    // waiting on (its stall category and queueing share). First the
+    // latest ready time over the predecoded hazard list, unrolled by
+    // its length and branch-free (which operand is latest is
+    // data-dependent and mispredicts).
+    const u8 *const hazard = decoded.hazards.data();
     Cycle at = 0;
-    unsigned reg = 0;
-    for (const u8 r : decoded.hazardRegs) {
-        const Cycle ready = rf_[r].readyAt;
-        const bool later = ready > at;
-        at = later ? ready : at;
-        reg = later ? r : reg;
+    switch (decoded.numHazards) {
+      case 6: at = std::max(at, rf_[hazard[5]].readyAt); [[fallthrough]];
+      case 5: at = std::max(at, rf_[hazard[4]].readyAt); [[fallthrough]];
+      case 4: at = std::max(at, rf_[hazard[3]].readyAt); [[fallthrough]];
+      case 3: at = std::max(at, rf_[hazard[2]].readyAt); [[fallthrough]];
+      case 2: at = std::max(at, rf_[hazard[1]].readyAt); [[fallthrough]];
+      case 1: at = std::max(at, rf_[hazard[0]].readyAt); [[fallthrough]];
+      default: break;
     }
     if (at > now) {
-        Reg &producer = rf_[reg];
+        // Stalled: of equally late registers the first in ra, rb, rd
+        // order is charged.
+        unsigned k = 0;
+        while (rf_[hazard[k]].readyAt != at)
+            ++k;
+        Reg &producer = rf_[hazard[k]];
         accountMemWait(now, at, static_cast<CycleCat>(producer.prodCat),
                        producer.prodQueue);
         // The queueing share is charged once, not per retry.
@@ -109,399 +473,7 @@ ThreadUnit::tick(Cycle now)
         return at;
     }
 
-    return issue(now, decoded.instr);
-}
-
-Cycle
-ThreadUnit::issue(Cycle now, const Instr &instr)
-{
-    const ChipConfig &cfg = chip_.config();
-    const LatencyConfig &lat = cfg.lat;
-    const InstrMeta &m = isa::meta(instr.op);
-    const u8 rd = instr.rd, ra = instr.ra, rb = instr.rb;
-    const s32 imm = instr.imm;
-    PhysAddr nextPc = pc_ + 4;
-
-    switch (m.unit) {
-      case UnitClass::IntAlu: {
-        u32 a = rf_[ra].value;
-        u32 result = 0;
-        switch (instr.op) {
-          case Opcode::Add: result = a + rf_[rb].value; break;
-          case Opcode::Sub: result = a - rf_[rb].value; break;
-          case Opcode::And: result = a & rf_[rb].value; break;
-          case Opcode::Or: result = a | rf_[rb].value; break;
-          case Opcode::Xor: result = a ^ rf_[rb].value; break;
-          case Opcode::Nor: result = ~(a | rf_[rb].value); break;
-          case Opcode::Sll: result = a << (rf_[rb].value & 31); break;
-          case Opcode::Srl: result = a >> (rf_[rb].value & 31); break;
-          case Opcode::Sra:
-            result = u32(s32(a) >> (rf_[rb].value & 31));
-            break;
-          case Opcode::Slt: result = s32(a) < s32(rf_[rb].value); break;
-          case Opcode::Sltu: result = a < rf_[rb].value; break;
-          case Opcode::Addi: result = a + u32(imm); break;
-          case Opcode::Andi: result = a & u32(imm & 0x1FFF); break;
-          case Opcode::Ori: result = a | u32(imm & 0x1FFF); break;
-          case Opcode::Xori: result = a ^ u32(imm & 0x1FFF); break;
-          case Opcode::Slli: result = a << (imm & 31); break;
-          case Opcode::Srli: result = a >> (imm & 31); break;
-          case Opcode::Srai: result = u32(s32(a) >> (imm & 31)); break;
-          case Opcode::Slti: result = s32(a) < imm; break;
-          case Opcode::Sltiu: result = a < u32(imm); break;
-          case Opcode::Lui: result = u32(imm) << 13; break;
-          default: panic("bad IntAlu opcode");
-        }
-        // Watchdog food: producing a *new* value is forward progress; a
-        // spin loop recomputing the same mask/compare result is not.
-        if (rd != 0 && rf_[rd].value != result)
-            noteProgress();
-        setReg(rd, result);
-        setRegReady(rd, now + 1);
-        accountIssue(now, 1);
-        pc_ = nextPc;
-        return now + 1;
-      }
-
-      case UnitClass::IntMul: {
-        noteProgress();
-        const u64 product = u64(rf_[ra].value) * u64(rf_[rb].value);
-        setReg(rd, instr.op == Opcode::Mul ? u32(product)
-                                           : u32(product >> 32));
-        setRegReady(rd, now + lat.intMulExec + lat.intMulLat,
-                    CycleCat::FpuArb);
-        accountIssue(now, lat.intMulExec);
-        pc_ = nextPc;
-        return now + lat.intMulExec;
-      }
-
-      case UnitClass::IntDiv: {
-        noteProgress();
-        u32 result;
-        const u32 a = rf_[ra].value, b = rf_[rb].value;
-        if (b == 0) {
-            result = ~0u; // division by zero yields all ones
-        } else if (instr.op == Opcode::Div) {
-            if (a == 0x8000'0000u && b == ~0u)
-                result = a; // overflow wraps
-            else
-                result = u32(s32(a) / s32(b));
-        } else {
-            result = a / b;
-        }
-        setReg(rd, result);
-        setRegReady(rd, now + lat.intDivExec);
-        accountIssue(now, lat.intDivExec);
-        pc_ = nextPc;
-        return now + lat.intDivExec;
-      }
-
-      case UnitClass::Branch: {
-        bool taken = false;
-        switch (instr.op) {
-          case Opcode::Beq: taken = rf_[ra].value == rf_[rb].value; break;
-          case Opcode::Bne: taken = rf_[ra].value != rf_[rb].value; break;
-          case Opcode::Blt:
-            taken = s32(rf_[ra].value) < s32(rf_[rb].value);
-            break;
-          case Opcode::Bge:
-            taken = s32(rf_[ra].value) >= s32(rf_[rb].value);
-            break;
-          case Opcode::Bltu: taken = rf_[ra].value < rf_[rb].value; break;
-          case Opcode::Bgeu: taken = rf_[ra].value >= rf_[rb].value; break;
-          case Opcode::Jal:
-            setReg(rd, pc_ + 4);
-            setRegReady(rd, now + lat.branchExec);
-            taken = true;
-            break;
-          case Opcode::Jalr: {
-            const u32 target = (rf_[ra].value + u32(imm)) & ~3u;
-            setReg(rd, pc_ + 4);
-            setRegReady(rd, now + lat.branchExec);
-            pc_ = target;
-            accountIssue(now, lat.branchExec);
-            return now + lat.branchExec;
-          }
-          default: panic("bad branch opcode");
-        }
-        pc_ = taken ? pc_ + 4 + u32(imm) * 4 : nextPc;
-        accountIssue(now, lat.branchExec);
-        return now + lat.branchExec;
-      }
-
-      case UnitClass::Load:
-      case UnitClass::Store:
-      case UnitClass::Atomic: {
-        mem_.prune(now);
-        if (mem_.full()) {
-            const Cycle wake = std::max(mem_.earliest(), now + 1);
-            accountWait(now, wake,
-                        mem_.earliestFabric() ? CycleCat::RemoteWait
-                                              : CycleCat::DcacheMiss);
-            return wake;
-        }
-        // Atomics address through ra alone (rb is the operand); the
-        // indexed loads/stores (lwx/ldx/...) add ra + rb.
-        const bool indexed =
-            m.format == isa::Format::R && m.unit != UnitClass::Atomic;
-        const Addr ea = indexed ? rf_[ra].value + rf_[rb].value
-                                : m.unit == UnitClass::Atomic
-                                      ? rf_[ra].value
-                                      : rf_[ra].value + u32(imm);
-
-        if (m.unit == UnitClass::Atomic) {
-            const u32 old = u32(chip_.memRead(ea, 4, tid_));
-            // Polling semantics: amotas/amocas re-reading a held lock
-            // makes no progress; a changing value (amoadd tickets,
-            // released locks) does.
-            notePoll(pc_, ea, old);
-            u32 fresh = old;
-            bool doWrite = true;
-            switch (instr.op) {
-              case Opcode::Amoadd: fresh = old + rf_[rb].value; break;
-              case Opcode::Amoswap: fresh = rf_[rb].value; break;
-              case Opcode::Amocas:
-                doWrite = old == rf_[rd].value;
-                fresh = rf_[rb].value;
-                break;
-              case Opcode::Amotas: fresh = 1; break;
-              default: panic("bad atomic opcode");
-            }
-            if (doWrite)
-                chip_.memWrite(ea, 4, fresh, tid_);
-            MemTiming t = chip_.dmem(now, tid_, ea, 4, MemKind::Atomic);
-            noteDmem(t.hit);
-            setReg(rd, old);
-            setRegReady(rd, t.ready,
-                        t.fabric ? CycleCat::RemoteWait
-                                 : CycleCat::DcacheMiss,
-                        t.queueWait);
-            mem_.add(t.ready, t.fabric);
-        } else if (m.unit == UnitClass::Load) {
-            u64 raw = chip_.memRead(ea, m.memBytes, tid_);
-            switch (instr.op) {
-              case Opcode::Lb: raw = u32(s32(s8(raw))); break;
-              case Opcode::Lh: raw = u32(s32(s16(raw))); break;
-              default: break;
-            }
-            notePoll(pc_, ea, raw);
-            MemTiming t =
-                chip_.dmem(now, tid_, ea, m.memBytes, MemKind::Load);
-            noteDmem(t.hit);
-            const CycleCat prod = t.fabric ? CycleCat::RemoteWait
-                                           : CycleCat::DcacheMiss;
-            if (m.memBytes == 8) {
-                setReg(rd, u32(raw));
-                setReg(rd + 1, u32(raw >> 32));
-                setRegReady(rd, t.ready, prod, t.queueWait);
-                setRegReady(rd + 1, t.ready, prod, t.queueWait);
-            } else {
-                setReg(rd, u32(raw));
-                setRegReady(rd, t.ready, prod, t.queueWait);
-            }
-            mem_.add(t.ready, t.fabric);
-        } else {
-            noteProgress();
-            u64 value = rf_[rd].value;
-            if (m.memBytes == 8)
-                value |= u64(rf_[rd + 1].value) << 32;
-            chip_.memWrite(ea, m.memBytes, value, tid_);
-            MemTiming t =
-                chip_.dmem(now, tid_, ea, m.memBytes, MemKind::Store);
-            noteDmem(t.hit);
-            mem_.add(t.ready, t.fabric);
-        }
-        accountIssue(now, 1);
-        pc_ = nextPc;
-        return now + 1;
-      }
-
-      case UnitClass::FpAdd:
-      case UnitClass::FpMul:
-      case UnitClass::FpDiv:
-      case UnitClass::FpSqrt:
-      case UnitClass::Fma: {
-        FpuOp port;
-        switch (m.unit) {
-          case UnitClass::FpAdd: port = FpuOp::Add; break;
-          case UnitClass::FpMul: port = FpuOp::Mul; break;
-          case UnitClass::FpDiv: port = FpuOp::Div; break;
-          case UnitClass::FpSqrt: port = FpuOp::Sqrt; break;
-          default: port = FpuOp::Fma; break;
-        }
-        Cycle resultAt = 0;
-        if (!chip_.fpuOf(tid_).dispatch(now, port, &resultAt)) {
-            accountWait(now, now + 1, CycleCat::FpuArb);
-            return now + 1; // shared FPU busy: retry (round-robin)
-        }
-        switch (instr.op) {
-          case Opcode::Faddd:
-          case Opcode::Fsubd:
-          case Opcode::Fmuld:
-          case Opcode::Fdivd: {
-            const double a = regPair(ra), b = regPair(rb);
-            const double result = instr.op == Opcode::Faddd   ? a + b
-                                  : instr.op == Opcode::Fsubd ? a - b
-                                  : instr.op == Opcode::Fmuld ? a * b
-                                                              : a / b;
-            setRegPair(rd, nanFirst(result, {a, b}));
-            break;
-          }
-          case Opcode::Fsqrtd:
-            setRegPair(rd, std::sqrt(regPair(ra)));
-            break;
-          case Opcode::Fmadd:
-          case Opcode::Fmsub: {
-            const double a = regPair(ra), b = regPair(rb), c = regPair(rd);
-            const double result =
-                instr.op == Opcode::Fmadd ? a * b + c : a * b - c;
-            setRegPair(rd, nanFirst(result, {a, b, c}));
-            break;
-          }
-          case Opcode::Fnegd: setRegPair(rd, -regPair(ra)); break;
-          case Opcode::Fabsd:
-            setRegPair(rd, std::fabs(regPair(ra)));
-            break;
-          case Opcode::Fmovd: setRegPair(rd, regPair(ra)); break;
-          case Opcode::Fadds:
-          case Opcode::Fsubs:
-          case Opcode::Fmuls: {
-            float a, b;
-            std::memcpy(&a, &rf_[ra].value, 4);
-            std::memcpy(&b, &rf_[rb].value, 4);
-            const float result = instr.op == Opcode::Fadds   ? a + b
-                                 : instr.op == Opcode::Fsubs ? a - b
-                                                             : a * b;
-            setReg(rd, std::bit_cast<u32>(nanFirst(result, {a, b})));
-            break;
-          }
-          case Opcode::Fcvtdw:
-            setRegPair(rd, double(s32(rf_[ra].value)));
-            break;
-          case Opcode::Fcvtwd:
-            setReg(rd, u32(f64ToS32(regPair(ra))));
-            break;
-          case Opcode::Fclt:
-            setReg(rd, regPair(ra) < regPair(rb));
-            break;
-          case Opcode::Fcle:
-            setReg(rd, regPair(ra) <= regPair(rb));
-            break;
-          case Opcode::Fceq:
-            setReg(rd, regPair(ra) == regPair(rb));
-            break;
-          default: panic("bad FP opcode");
-        }
-        noteProgress();
-        if (m.fpPairRd) {
-            setRegReady(rd, resultAt, CycleCat::FpuArb);
-            setRegReady(rd + 1, resultAt, CycleCat::FpuArb);
-        } else {
-            setRegReady(rd, resultAt, CycleCat::FpuArb);
-        }
-        accountIssue(now, 1);
-        pc_ = nextPc;
-        return now + 1;
-      }
-
-      case UnitClass::Spr: {
-        if (instr.op == Opcode::Mfspr) {
-            const u32 sprValue = chip_.readSpr(tid_, u32(imm));
-            // SPRs live in their own poll namespace, above the 32-bit
-            // effective-address space. Barrier spins re-read the same
-            // OR value (no progress); cycle-counter reads change.
-            notePoll(pc_, (u64(1) << 40) | u32(imm), sprValue);
-            setReg(rd, sprValue);
-            // Waiting on a barrier-SPR read is barrier time; other
-            // SPRs charge like any long-latency functional unit.
-            setRegReady(rd, now + lat.sprLat,
-                        u32(imm) == isa::kSprBarrier ? CycleCat::BarrierWait
-                                                     : CycleCat::FpuArb);
-        } else {
-            noteProgress();
-            chip_.writeSpr(tid_, u32(imm), rf_[ra].value);
-            if (u32(imm) == isa::kSprBarrier) {
-                Tracer &tr = chip_.tracer();
-                if (tr.on(TraceCat::Barrier))
-                    tr.instant(TraceCat::Barrier, tid_, "mtspr.barrier",
-                               now, rf_[ra].value);
-            }
-        }
-        accountIssue(now, 1);
-        pc_ = nextPc;
-        return now + 1;
-      }
-
-      case UnitClass::Sync: {
-        mem_.prune(now);
-        if (!mem_.empty()) {
-            const Cycle wake = std::max(mem_.latest(), now + 1);
-            accountWait(now, wake,
-                        mem_.latestFabric() ? CycleCat::RemoteWait
-                                            : CycleCat::DcacheMiss);
-            return wake;
-        }
-        noteProgress();
-        accountIssue(now, 1);
-        pc_ = nextPc;
-        return now + 1;
-      }
-
-      case UnitClass::CacheOp: {
-        mem_.prune(now);
-        if (mem_.full()) {
-            const Cycle wake = std::max(mem_.earliest(), now + 1);
-            accountWait(now, wake,
-                        mem_.earliestFabric() ? CycleCat::RemoteWait
-                                              : CycleCat::DcacheMiss);
-            return wake;
-        }
-        const Addr ea = rf_[ra].value + u32(imm);
-        Cycle done;
-        switch (instr.op) {
-          case Opcode::Pref: {
-            MemTiming t =
-                chip_.dmem(now, tid_, ea, 4, MemKind::Prefetch);
-            noteDmem(t.hit);
-            done = t.ready;
-            break;
-          }
-          case Opcode::Dcbf:
-            done = chip_.memsys().flush(now, tid_, ea);
-            break;
-          case Opcode::Dcbi:
-            done = chip_.memsys().invalidate(now, tid_, ea);
-            break;
-          default: panic("bad cache op");
-        }
-        noteProgress();
-        mem_.add(done);
-        accountIssue(now, 1);
-        pc_ = nextPc;
-        return now + 1;
-      }
-
-      case UnitClass::Misc: {
-        if (instr.op == Opcode::Halt) {
-            markHalted();
-            accountIssue(now, 1);
-            return kCycleNever;
-        }
-        if (instr.op == Opcode::Trap) {
-            if (u32(imm) == isa::kTrapExit) {
-                markHalted();
-                accountIssue(now, 1);
-                return kCycleNever;
-            }
-            chip_.trap(tid_, u32(imm), rf_[4].value);
-        }
-        noteProgress();
-        accountIssue(now, 1);
-        pc_ = nextPc;
-        return now + 1;
-      }
-    }
-    panic("unhandled unit class");
+    return issue(now, decoded);
 }
 
 } // namespace cyclops::arch

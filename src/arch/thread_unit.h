@@ -24,9 +24,10 @@ namespace cyclops::arch
 {
 
 class Chip;
+struct DecodedInstr;
 
 /** One hardware thread executing Cyclops machine code. */
-class ThreadUnit : public Unit
+class ThreadUnit final : public Unit
 {
   public:
     /**
@@ -77,7 +78,13 @@ class ThreadUnit : public Unit
     };
 
     /** Issue one instruction; returns the next cycle to run. */
-    Cycle issue(Cycle now, const isa::Instr &instr);
+    Cycle issue(Cycle now, const DecodedInstr &d);
+
+    /**
+     * Wait for a free outstanding-memory slot: the cycle to retry at,
+     * or 0 if a slot is free now.
+     */
+    Cycle waitMemSlot(Cycle now);
 
     /**
      * Mark @p index ready at @p at, remembering which stall category a

@@ -280,20 +280,23 @@ class OutstandingMem
     init(u32 limit)
     {
         limit_ = limit;
-        entries_.clear();
-        entries_.reserve(limit);
+        count_ = 0;
+        entries_.assign(limit, Entry{});
     }
 
-    /** Drop completed operations. */
+    /** Drop completed operations, keeping the others in order. */
     void
     prune(Cycle now)
     {
-        std::erase_if(entries_,
-                      [&](const Entry &e) { return e.done <= now; });
+        u32 kept = 0;
+        for (u32 i = 0; i < count_; ++i)
+            if (entries_[i].done > now)
+                entries_[kept++] = entries_[i];
+        count_ = kept;
     }
 
-    bool full() const { return entries_.size() >= limit_; }
-    bool empty() const { return entries_.empty(); }
+    bool full() const { return count_ >= limit_; }
+    bool empty() const { return count_ == 0; }
 
     /** Completion time that frees the first slot. */
     Cycle earliest() const { return minEntry().done; }
@@ -307,16 +310,18 @@ class OutstandingMem
     /** Whether the operation finishing last is remote. */
     bool latestFabric() const { return maxEntry().fabric; }
 
-    void add(Cycle done, bool fabric = false)
+    /** Track one more operation; callers check full() first. */
+    void
+    add(Cycle done, bool fabric = false)
     {
-        entries_.push_back({done, fabric});
+        entries_[count_++] = {done, fabric};
     }
 
   private:
     struct Entry
     {
-        Cycle done;
-        bool fabric;
+        Cycle done = 0;
+        bool fabric = false;
     };
 
     // First-min / first-max: a deterministic tie-break for attribution
@@ -325,7 +330,7 @@ class OutstandingMem
     minEntry() const
     {
         return *std::min_element(
-            entries_.begin(), entries_.end(),
+            entries_.begin(), entries_.begin() + count_,
             [](const Entry &a, const Entry &b) { return a.done < b.done; });
     }
 
@@ -333,12 +338,13 @@ class OutstandingMem
     maxEntry() const
     {
         return *std::max_element(
-            entries_.begin(), entries_.end(),
+            entries_.begin(), entries_.begin() + count_,
             [](const Entry &a, const Entry &b) { return a.done < b.done; });
     }
 
     u32 limit_ = 4;
-    std::vector<Entry> entries_;
+    u32 count_ = 0;
+    std::vector<Entry> entries_; ///< limit_ slots, the first count_ live
 };
 
 } // namespace cyclops::arch

@@ -67,20 +67,30 @@ MemTiming
 GuestUnit::issueMem(Cycle now, MemKind kind, Addr ea, u8 bytes,
                     u64 *inout)
 {
+    const arch::MemRef ref = chip_.decodeMem(ea, bytes, tid_);
     switch (kind) {
       case MemKind::Load:
       case MemKind::Prefetch:
-        *inout = chip_.memRead(ea, bytes, tid_);
+        *inout = chip_.load(ref, tid_);
         break;
       case MemKind::Store:
-        chip_.memWrite(ea, bytes, *inout, tid_);
+        chip_.store(ref, *inout, tid_);
         break;
       case MemKind::Atomic:
         break; // caller performs the read-modify-write
     }
-    MemTiming t = chip_.dmem(now, tid_, ea, bytes, kind);
+    MemTiming t = chip_.dmem(now, tid_, ref, kind);
     noteDmem(t.hit);
     return t;
+}
+
+MemTiming
+GuestUnit::fetchAdd(Cycle now, Addr ea, u32 *old)
+{
+    const arch::MemRef ref = chip_.decodeMem(ea, 4, tid_);
+    *old = u32(chip_.load(ref, tid_));
+    chip_.store(ref, *old + 1, tid_);
+    return chip_.dmem(now, tid_, ref, MemKind::Atomic);
 }
 
 Cycle
@@ -218,7 +228,8 @@ GuestUnit::step(Cycle now, MicroOp &op)
                                               : CycleCat::DcacheMiss);
             return {false, wake};
         }
-        const u32 old = u32(chip_.memRead(op.ea, 4, tid_));
+        const arch::MemRef ref = chip_.decodeMem(op.ea, 4, tid_);
+        const u32 old = u32(chip_.load(ref, tid_));
         notePoll(0, op.ea, old);
         u32 fresh = old;
         bool doWrite = true;
@@ -229,8 +240,8 @@ GuestUnit::step(Cycle now, MicroOp &op)
         else
             doWrite = old == u32(op.expect), fresh = u32(op.value);
         if (doWrite)
-            chip_.memWrite(op.ea, 4, fresh, tid_);
-        MemTiming t = chip_.dmem(now, tid_, op.ea, 4, MemKind::Atomic);
+            chip_.store(ref, fresh, tid_);
+        MemTiming t = chip_.dmem(now, tid_, ref, MemKind::Atomic);
         noteDmem(t.hit);
         op.result = old;
         mem_.add(t.ready, t.fabric);
@@ -325,10 +336,8 @@ GuestUnit::stepCentral(Cycle now, MicroOp &op)
         // Flip the local sense and fetch-and-add the counter.
         noteProgress();
         bar.localSense[softIdx_] ^= 1;
-        const u32 old = u32(chip_.memRead(bar.counterEa, 4, tid_));
-        chip_.memWrite(bar.counterEa, 4, old + 1, tid_);
-        MemTiming t =
-            chip_.dmem(now, tid_, bar.counterEa, 4, MemKind::Atomic);
+        u32 old;
+        const MemTiming t = fetchAdd(now, bar.counterEa, &old);
         noteDmem(t.hit);
         accountIssue(now, 2); // xori + amoadd
         barScratch_ = old + 1;
@@ -418,10 +427,8 @@ GuestUnit::stepTree(Cycle now, MicroOp &op)
         // Notify the parent.
         noteProgress();
         const Addr parentEa = bar.arriveEa(bar.parent(self));
-        const u32 old = u32(chip_.memRead(parentEa, 4, tid_));
-        chip_.memWrite(parentEa, 4, old + 1, tid_);
-        noteDmem(
-            chip_.dmem(now, tid_, parentEa, 4, MemKind::Atomic).hit);
+        u32 old;
+        noteDmem(fetchAdd(now, parentEa, &old).hit);
         accountIssue(now, 1);
         barStage_ = 3;
         return {false, now + 1};

@@ -55,6 +55,9 @@ class GuestUnit : public arch::Unit
     arch::MemTiming issueMem(Cycle now, arch::MemKind kind, Addr ea,
                              u8 bytes, u64 *inout);
 
+    /** Atomic increment of the word at @p ea; *old gets its value. */
+    arch::MemTiming fetchAdd(Cycle now, Addr ea, u32 *old);
+
     arch::Chip &chip_;
     u32 softIdx_;
 

@@ -19,6 +19,7 @@
 #include "exec/guest_unit.h"
 #include "fault/fault.h"
 #include "isa/assembler.h"
+#include "isa/builder.h"
 #include "kernel/kernel.h"
 #include "verify/diff_runner.h"
 #include "workloads/stream.h"
@@ -550,4 +551,116 @@ TEST(Faultcamp, InjectionIsSelfContained)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_GE(a.spec.cycle, 1u);
     EXPECT_GT(a.cycles, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Diagnostics pin: a bad data reference gives one first error text,
+// whatever the frontend and whatever the access kind.
+// ---------------------------------------------------------------------------
+
+namespace
+{
+
+enum class RefKind { Load, Store, Atomic };
+
+/** First GuestError text of one @p kind reference to @p ea by ISA TU 0. */
+std::string
+isaRefError(const ChipConfig &cfg, Addr ea, RefKind kind)
+{
+    Chip chip(cfg);
+    isa::ProgramBuilder b;
+    b.li(5, ea);
+    switch (kind) {
+      case RefKind::Load: b.lw(6, 0, 5); break;
+      case RefKind::Store: b.sw(6, 0, 5); break;
+      case RefKind::Atomic: b.amoadd(6, 5, 7); break;
+    }
+    b.halt();
+    const isa::Program program = b.finish();
+    chip.loadProgram(program);
+    chip.setUnit(0, std::make_unique<ThreadUnit>(0, chip, program.entry));
+    chip.activate(0);
+    try {
+        chip.run(100'000);
+    } catch (const GuestError &err) {
+        return err.what();
+    }
+    return "no error";
+}
+
+struct BadRefBody
+{
+    static exec::GuestTask
+    run(exec::GuestCtx &ctx, Addr ea, RefKind kind)
+    {
+        switch (kind) {
+          case RefKind::Load: co_await ctx.load(ea, 4); break;
+          case RefKind::Store: co_await ctx.store(ea, 1, 4); break;
+          case RefKind::Atomic: co_await ctx.amoadd(ea, 1); break;
+        }
+    }
+};
+
+/** First GuestError text of the same reference by guest thread 0. */
+std::string
+guestRefError(const ChipConfig &cfg, Addr ea, RefKind kind)
+{
+    Chip chip(cfg);
+    exec::GuestEngine engine(chip);
+    engine.spawn(1, [ea, kind](exec::GuestCtx &ctx) {
+        return BadRefBody::run(ctx, ea, kind);
+    });
+    try {
+        engine.run(100'000);
+    } catch (const GuestError &err) {
+        return err.what();
+    }
+    return "no error";
+}
+
+void
+expectRefError(const ChipConfig &cfg, Addr ea, const std::string &want)
+{
+    for (RefKind kind : {RefKind::Load, RefKind::Store, RefKind::Atomic}) {
+        EXPECT_EQ(isaRefError(cfg, ea, kind), want)
+            << "ISA kind " << int(kind);
+        EXPECT_EQ(guestRefError(cfg, ea, kind), want)
+            << "guest kind " << int(kind);
+    }
+}
+
+} // namespace
+
+TEST(GuestErrors, MisalignedTextIsFrontendIndependent)
+{
+    const Addr ea = igAddr(kIgDefault, 0x20002);
+    expectRefError(ChipConfig{}, ea,
+                   strprintf("misaligned 4-byte access at 0x%08x "
+                             "(thread 0)", ea));
+}
+
+TEST(GuestErrors, BeyondMemoryTextIsFrontendIndependent)
+{
+    const ChipConfig cfg;
+    const u32 kb = cfg.memBytes() / 1024;
+    expectRefError(cfg, igAddr(kIgDefault, cfg.memBytes() + 64),
+                   strprintf("access at 0x%06x beyond available memory "
+                             "(%u KB) (thread 0)",
+                             cfg.memBytes() + 64, kb));
+}
+
+TEST(GuestErrors, ScratchWithNoWaysTextIsFrontendIndependent)
+{
+    expectRefError(ChipConfig{}, igAddr(igScratch(1), 0x40),
+                   "scratchpad access to cache 1 with no partitioned ways "
+                   "(thread 0)");
+}
+
+TEST(GuestErrors, DisabledCacheScratchTextIsFrontendIndependent)
+{
+    ChipConfig cfg;
+    cfg.dcacheScratchWays = 1;
+    cfg.fault.disabledDcaches = {1};
+    expectRefError(cfg, igAddr(igScratch(1), 0x40),
+                   "scratchpad access to disabled cache 1 (thread 0)");
 }

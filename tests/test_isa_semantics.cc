@@ -462,3 +462,186 @@ TEST(Microarch, ReservedThreadsAreUnavailable)
     for (u32 i = 0; i < 32; ++i)
         EXPECT_EQ(balanced[i] / 4, i);
 }
+
+namespace
+{
+
+/**
+ * FpuArb and BarrierWait stall cycles of one TU running @p body: r2
+ * (and r11) become ready from a mul (FpuArb) on the same cycle as r4
+ * (and r13) from a barrier-SPR read (BarrierWait), and @p body's one
+ * instruction waits on them. Which category gets the stall shows
+ * which of the equally late registers the hazard check charged.
+ */
+std::pair<u64, u64>
+tiedStalls(const std::function<void(ProgramBuilder &)> &body)
+{
+    ChipConfig cfg;
+    cfg.pibEnabled = false;
+    cfg.lat.sprLat = cfg.lat.intMulExec + cfg.lat.intMulLat - 1;
+    Chip chip(cfg);
+    ProgramBuilder builder;
+    builder.mul(2, 7, 8);                 // r2 ready at t + 6
+    builder.mfspr(4, isa::kSprBarrier);   // r4 ready at t + 6
+    builder.mul(11, 7, 8);                // r11 ready at t + 8
+    builder.mfspr(13, isa::kSprBarrier);  // r13 ready at t + 8
+    body(builder);                        // issues at t + 4
+    builder.halt();
+    chip.loadProgram(builder.finish());
+    chip.setUnit(0, std::make_unique<ThreadUnit>(0, chip, 0));
+    chip.activate(0);
+    EXPECT_EQ(chip.run(10'000), RunExit::AllHalted);
+    const Unit *u = chip.unit(0);
+    return std::pair{u->catCycles(CycleCat::FpuArb),
+                     u->catCycles(CycleCat::BarrierWait)};
+}
+
+} // namespace
+
+TEST(ThreadUnit, RepeatedSourceKeepsFirstLatestCharge)
+{
+    // add r4, r2, r2: r2 (twice) and the WAW destination r4 are ready
+    // on the same cycle; the first, r2, is charged.
+    EXPECT_EQ(tiedStalls([](ProgramBuilder &b) { b.add(4, 2, 2); }),
+              std::pair(u64(2), u64(0)));
+    EXPECT_EQ(tiedStalls([](ProgramBuilder &b) { b.add(2, 4, 4); }),
+              std::pair(u64(0), u64(2)));
+}
+
+TEST(ThreadUnit, FmaddPairOverlapKeepsFirstLatestCharge)
+{
+    // Pairs: r10/r11 ready with r11 (FpuArb), r12/r13 with r13
+    // (BarrierWait), both at t + 8. The destination pair overlaps a
+    // source pair; the first late register in ra, ra+1, rb, rb+1 order
+    // is charged.
+    EXPECT_EQ(tiedStalls([](ProgramBuilder &b) { b.fmadd(10, 10, 12); }),
+              std::pair(u64(4), u64(0)));
+    EXPECT_EQ(tiedStalls([](ProgramBuilder &b) { b.fmadd(12, 12, 10); }),
+              std::pair(u64(0), u64(4)));
+    EXPECT_EQ(tiedStalls([](ProgramBuilder &b) { b.fmadd(12, 10, 12); }),
+              std::pair(u64(4), u64(0)));
+}
+
+TEST(ThreadUnit, ZeroRegisterNeverTakesTheCharge)
+{
+    // r0 is never busy: a stall on r0-plus-one-register goes to that
+    // register, and r0 as the destination adds no WAW hazard.
+    EXPECT_EQ(tiedStalls([](ProgramBuilder &b) { b.add(5, 0, 4); }),
+              std::pair(u64(0), u64(2)));
+    EXPECT_EQ(tiedStalls([](ProgramBuilder &b) { b.add(0, 0, 2); }),
+              std::pair(u64(2), u64(0)));
+    EXPECT_EQ(tiedStalls([](ProgramBuilder &b) { b.add(5, 0, 0); }),
+              std::pair(u64(0), u64(0)));
+}
+
+TEST(Predecode, FieldsMatchMetaForEveryOpcode)
+{
+    for (unsigned o = 0; o < isa::kNumOpcodes; ++o) {
+        const Opcode op = static_cast<Opcode>(o);
+        const isa::InstrMeta &m = isa::meta(op);
+        isa::Instr instr;
+        instr.op = op;
+        instr.rd = 10;
+        instr.ra = 20;
+        instr.rb = 30;
+        instr.imm = -7;
+        const DecodedInstr d = predecode(instr);
+        SCOPED_TRACE(m.mnemonic);
+        EXPECT_EQ(d.op, op);
+        EXPECT_EQ(d.rd, 10);
+        EXPECT_EQ(d.ra, 20);
+        EXPECT_EQ(d.rb, 30);
+        EXPECT_EQ(d.imm, -7);
+        EXPECT_EQ(d.memBytes, m.memBytes);
+        const bool loadStore = m.unit == isa::UnitClass::Load ||
+                               m.unit == isa::UnitClass::Store;
+        EXPECT_EQ(bool(d.flags & DecodedInstr::kIndexed),
+                  loadStore && m.format == isa::Format::R);
+        EXPECT_EQ(bool(d.flags & DecodedInstr::kSignExt),
+                  op == Opcode::Lb || op == Opcode::Lh);
+        EXPECT_EQ(bool(d.flags & DecodedInstr::kPairRd), m.fpPairRd);
+        FpuOp port = FpuOp::Add;
+        if (m.unit == isa::UnitClass::FpMul)
+            port = FpuOp::Mul;
+        else if (m.unit == isa::UnitClass::FpDiv)
+            port = FpuOp::Div;
+        else if (m.unit == isa::UnitClass::FpSqrt)
+            port = FpuOp::Sqrt;
+        else if (m.unit == isa::UnitClass::Fma)
+            port = FpuOp::Fma;
+        EXPECT_EQ(d.port, port);
+        // With distinct nonzero operands the list is every operand the
+        // meta entry names, in ra, rb, rd order, pairs expanded.
+        std::vector<u8> want;
+        if (m.readsRa) {
+            want.push_back(20);
+            if (m.fpPairRa)
+                want.push_back(21);
+        }
+        if (m.readsRb) {
+            want.push_back(30);
+            if (m.fpPairRb)
+                want.push_back(31);
+        }
+        if (m.readsRd || m.writesRd) {
+            want.push_back(10);
+            if (m.fpPairRd)
+                want.push_back(11);
+        }
+        EXPECT_EQ(std::vector<u8>(d.hazards.begin(),
+                                  d.hazards.begin() + d.numHazards),
+                  want);
+    }
+}
+
+TEST(Predecode, HazardListChargesLikeTheFullScoreboard)
+{
+    // The compact list must pick the same (ready cycle, register) as a
+    // strict first-max over all six scoreboard slots ra, ra+1, rb,
+    // rb+1, rd, rd+1 (absent slots r0), for every opcode, overlapping
+    // and r0 operands, and ready times drawn from a tiny range so ties
+    // are common.
+    Rng rng(7);
+    const u8 regs[] = {0, 2, 4};
+    for (unsigned o = 0; o < isa::kNumOpcodes; ++o) {
+        const Opcode op = static_cast<Opcode>(o);
+        const isa::InstrMeta &m = isa::meta(op);
+        for (u8 rd : regs) {
+            for (u8 ra : regs) {
+                for (u8 rb : regs) {
+                    const DecodedInstr d = predecode({op, rd, ra, rb, 0});
+                    std::array<u8, 6> slots{};
+                    auto put = [&](unsigned slot, u8 reg, bool pair) {
+                        slots[slot] = reg;
+                        if (pair)
+                            slots[slot + 1] = u8(reg + 1);
+                    };
+                    if (m.readsRa)
+                        put(0, ra, m.fpPairRa);
+                    if (m.readsRb)
+                        put(2, rb, m.fpPairRb);
+                    if (m.readsRd || m.writesRd)
+                        put(4, rd, m.fpPairRd);
+                    for (int trial = 0; trial < 20; ++trial) {
+                        std::array<Cycle, 8> ready{};
+                        for (unsigned r = 1; r < ready.size(); ++r)
+                            ready[r] = rng.below(3);
+                        auto firstMax = [&](auto begin, auto end) {
+                            std::pair<Cycle, unsigned> best{0, 0};
+                            for (auto it = begin; it != end; ++it)
+                                if (ready[*it] > best.first)
+                                    best = {ready[*it], *it};
+                            return best;
+                        };
+                        EXPECT_EQ(firstMax(d.hazards.begin(),
+                                           d.hazards.begin() +
+                                               d.numHazards),
+                                  firstMax(slots.begin(), slots.end()))
+                            << m.mnemonic << " rd=" << int(rd)
+                            << " ra=" << int(ra) << " rb=" << int(rb);
+                    }
+                }
+            }
+        }
+    }
+}

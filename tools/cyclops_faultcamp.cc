@@ -34,7 +34,6 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +41,7 @@
 #include <string>
 
 #include "common/log.h"
+#include "common/parse.h"
 #include "common/trace.h"
 #include "fault/fault.h"
 
@@ -68,20 +68,6 @@ usage(const char *argv0, const char *why)
                  "       (paths may contain %%t -> \"i<iter>\")\n",
                  argv0);
     return 2;
-}
-
-/** Parse a whole-string nonnegative integer; false on malformed input. */
-bool
-parseU64(const char *text, u64 *out)
-{
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text, &end, 0);
-    if (errno != 0 || end == text || *end != '\0' ||
-        std::strchr(text, '-') != nullptr)
-        return false;
-    *out = v;
-    return true;
 }
 
 } // namespace

@@ -27,6 +27,7 @@
 #include <string>
 
 #include "common/log.h"
+#include "common/parse.h"
 #include "common/trace.h"
 #include "verify/fuzz.h"
 
@@ -35,7 +36,7 @@ using namespace cyclops;
 namespace
 {
 
-void
+[[noreturn]] void
 usage(const char *argv0)
 {
     std::fprintf(stderr,
@@ -59,14 +60,30 @@ main(int argc, char **argv)
 {
     verify::FuzzOptions opts;
 
+    // A numeric option's value must parse whole; anything else is a
+    // usage error (exit 2), never a silent 0.
+    auto number = [&](int &i, auto *out) {
+        const char *text = argv[++i];
+        bool ok;
+        if constexpr (sizeof(*out) == sizeof(u64))
+            ok = parseU64(text, out);
+        else
+            ok = parseU32(text, out);
+        if (!ok) {
+            std::fprintf(stderr, "%s: %s needs a nonnegative number, "
+                         "got '%s'\n", argv[0], argv[i - 1], text);
+            usage(argv[0]);
+        }
+    };
+
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            opts.seed = std::strtoull(argv[++i], nullptr, 0);
+            number(i, &opts.seed);
         } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-            opts.iters = u32(std::atoi(argv[++i]));
+            number(i, &opts.iters);
         } else if (std::strcmp(argv[i], "--threads") == 0 &&
                    i + 1 < argc) {
-            opts.maxThreads = u32(std::atoi(argv[++i]));
+            number(i, &opts.maxThreads);
         } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
             opts.shrinkOnFail = false;
         } else if (std::strcmp(argv[i], "--shrink") == 0) {
@@ -81,7 +98,7 @@ main(int argc, char **argv)
             opts.obs.statsCsv = argv[++i];
         } else if (std::strcmp(argv[i], "--stats-interval") == 0 &&
                    i + 1 < argc) {
-            opts.obs.statsInterval = u32(std::atoi(argv[++i]));
+            number(i, &opts.obs.statsInterval);
         } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
                    i + 1 < argc) {
             opts.obs.traceOut = argv[++i];
@@ -90,7 +107,7 @@ main(int argc, char **argv)
             opts.obs.traceCats = parseTraceCats(argv[++i]);
         } else if (std::strcmp(argv[i], "--trace-capacity") == 0 &&
                    i + 1 < argc) {
-            opts.obs.traceCapacity = u32(std::atoi(argv[++i]));
+            number(i, &opts.obs.traceCapacity);
         } else if (std::strcmp(argv[i], "--mutate") == 0 && i + 1 < argc) {
             const std::string name = argv[++i];
             if (name == "add-off-by-one")

@@ -91,6 +91,7 @@
 #include "common/config.h"
 #include "common/log.h"
 #include "common/manifest.h"
+#include "common/parse.h"
 #include "common/trace.h"
 #include "isa/assembler.h"
 #include "isa/disassembler.h"
@@ -137,19 +138,6 @@ argError(const char *argv0, const std::string &why)
     std::fprintf(stderr, "%s: %s\n", argv0, why.c_str());
     usage(argv0);
     std::exit(2);
-}
-
-/** Parse a whole-string nonnegative integer; false on malformed input. */
-bool
-parseU64(const char *text, u64 *out)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 0);
-    if (end == text || *end != '\0' ||
-        std::strchr(text, '-') != nullptr)
-        return false;
-    *out = v;
-    return true;
 }
 
 /** Parse a directed link "A->B"; false if malformed. */
