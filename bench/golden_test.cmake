@@ -1,11 +1,16 @@
 # CTest script: run one figure benchmark in quick CSV mode and compare
 # its output against the committed golden with check_goldens.py.
+# JOBS (default 1) is the bench's --jobs sweep-lane count: its CSV is
+# byte-identical at any count, so it only sets the wall time.
 get_filename_component(name ${GOLDEN} NAME_WE)
+if(NOT DEFINED JOBS)
+    set(JOBS 1)
+endif()
 set(out ${WORK_DIR}/${name}.csv)
 file(MAKE_DIRECTORY ${WORK_DIR})
 
 execute_process(
-    COMMAND ${BENCH} --quick --csv
+    COMMAND ${BENCH} --quick --csv --jobs ${JOBS}
     OUTPUT_FILE ${out}
     RESULT_VARIABLE run_rc
     ERROR_VARIABLE run_err)

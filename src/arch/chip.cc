@@ -82,8 +82,8 @@ Chip::Chip(const ChipConfig &cfg) : cfg_(cfg)
     icEnabled_.assign(cfg_.numICaches(), true);
     applyFaultMap();
 
-    wheel_.assign(kWheelSize, {});
-    due_.reserve(cfg_.numThreads);
+    nextInSlot_.assign(cfg_.numThreads, kNoUnit);
+    due_.assign(cfg_.numThreads, 0);
 
     stats_.addCounter("chip.cycles", &cycles_);
     stats_.addCounter("chip.traps", &trapsServed_);
@@ -142,14 +142,21 @@ prefetchHotState(const Unit *unit)
         __builtin_prefetch(base + offset);
 }
 
+/** The one size check of local and remote references alike. */
+inline void
+checkAccessSize(u8 bytes)
+{
+    if (bytes == 0 || bytes > 8 || !isPow2(bytes))
+        panic("memory access of %u bytes", bytes);
+}
+
 } // namespace
 
 MemRef
 Chip::decodeSlow(Addr ea, u8 bytes, ThreadId tid)
 {
     // Sizes are 1, 2, 4 or 8 (checked first), so alignment is a mask.
-    if (bytes == 0 || bytes > 8 || !isPow2(bytes))
-        panic("memory access of %u bytes", bytes);
+    checkAccessSize(bytes);
     const u32 alignMask = bytes - 1u;
     const MemSystem::RouteEntry &ig = memsys_.routeEntry(igField(ea));
     const PhysAddr pa = igPhys(ea);
@@ -185,16 +192,48 @@ Chip::decodeSlow(Addr ea, u8 bytes, ThreadId tid)
     return MemRef{host, &ig, ea, pa, bytes};
 }
 
+void
+Chip::badRemote(Addr ea, u8 bytes, ThreadId tid) const
+{
+    // The checks of decodeRemote(), in order, with their diagnostics.
+    checkAccessSize(bytes);
+    const u32 dst = remoteChipOf(ea);
+    if (dst >= numChips_)
+        guestCheck("remote window addresses chip %u of a %u-chip "
+                   "system (chip %u thread %u, ea 0x%08x)",
+                   dst, numChips_, chipId_, tid, ea);
+    if (dst == chipId_)
+        guestCheck("remote window targets the local chip %u "
+                   "(thread %u, ea 0x%08x)", chipId_, tid, ea);
+    guestCheck("misaligned %u-byte remote access at 0x%08x "
+               "(chip %u thread %u)", bytes, ea, chipId_, tid);
+}
+
+void
+Chip::remoteAtomic(const MemRef &ref, ThreadId tid) const
+{
+    guestCheck("remote atomics are not supported (chip %u "
+               "thread %u, ea 0x%08x)", chipId_, tid, ref.ea);
+}
+
 u64
 Chip::memRead(Addr ea, u8 bytes, ThreadId tid)
 {
-    return load(decodeMem(ea, bytes, tid), tid);
+    return load(decodeMem(ea, bytes, tid));
 }
 
 void
 Chip::memWrite(Addr ea, u8 bytes, u64 value, ThreadId tid)
 {
-    store(decodeMem(ea, bytes, tid), value, tid);
+    store(decodeMem(ea, bytes, tid), value);
+}
+
+u8 *
+Chip::hostPhys(PhysAddr addr)
+{
+    if (addr >= dram_.size())
+        fatal("hostPhys beyond memory: 0x%06x", addr);
+    return &dram_[addr];
 }
 
 void
@@ -325,6 +364,8 @@ Chip::activate(ThreadId tid, Cycle when)
     if (!tuAlive_[tid])
         fatal("activate: thread %u is not operational (dead TU, quad "
               "or I-cache)", tid);
+    if (active_[tid])
+        fatal("activate: thread %u is already running", tid);
     // New work disarms any accumulated progress-free interval.
     lastProgressCycle_ = std::max(now_, when);
     ++liveUnits_;
@@ -352,7 +393,7 @@ Chip::scheduleFar(ThreadId tid, Cycle when)
     far_.emplace(when, tid);
 }
 
-Cycle
+[[gnu::always_inline]] inline Cycle
 Chip::nextWheelEvent() const
 {
     // First occupied slot at a cycle in (now_, now_ + kWheelSize),
@@ -386,57 +427,91 @@ Chip::run(Cycle maxCycles)
     const Cycle limit = maxCycles >= kCycleNever - now_
                             ? kCycleNever
                             : now_ + maxCycles;
+    return exitOf(runTo(limit));
+}
+
+RunExit
+Chip::exitOf(RunExitReason reason) const
+{
+    RunExit e(reason, now_);
+    if (reason == RunExitReason::Signal)
+        e.signal = stopSignal_;
+    else if (reason == RunExitReason::Watchdog)
+        e.diagnostic = watchdogDump();
+    return e;
+}
+
+RunExitReason
+Chip::runTo(Cycle limit)
+{
+    // The first cycle anything but ticking is due: a stats sample, a
+    // PC sample, the service point or the budget. One compare per
+    // cycle tests them all.
+    auto nextStop = [&] {
+        Cycle at = std::min(svcNext_, limit);
+        if (sampling_)
+            at = std::min(at, sampler_.nextSampleAt());
+        if (profiling_)
+            at = std::min(at, profNext_);
+        return at;
+    };
+    Cycle stopAt = nextStop();
 
     while (liveUnits_ > 0) {
-        if (sampling_)
-            sampler_.maybeSample(now_);
-        if (profiling_ && now_ >= profNext_)
-            samplePcs();
-        if (now_ >= svcNext_) {
-            // Low-frequency service point: host stop requests and the
-            // deadlock watchdog. Both are cycle-domain so results stay
-            // deterministic — only the *reaction* to a host signal
-            // depends on wall-clock time.
-            svcNext_ = now_ + kServiceInterval;
-            const int sig = gStopSignal.load(std::memory_order_relaxed);
-            if (sig != 0) {
-                RunExit e(RunExitReason::Signal, now_);
-                e.signal = sig;
-                return e;
+        if (now_ >= stopAt) [[unlikely]] {
+            if (sampling_)
+                sampler_.maybeSample(now_);
+            if (profiling_ && now_ >= profNext_)
+                samplePcs();
+            if (now_ >= svcNext_) {
+                // Low-frequency service point: host stop requests and
+                // the deadlock watchdog. Both are cycle-domain so
+                // results stay deterministic — only the *reaction* to a
+                // host signal depends on wall-clock time.
+                svcNext_ = now_ + kServiceInterval;
+                const int sig = gStopSignal.load(std::memory_order_relaxed);
+                if (sig != 0) {
+                    stopSignal_ = sig;
+                    return RunExitReason::Signal;
+                }
+                const u64 sum = progressSum();
+                if (sum != lastProgressSum_) {
+                    lastProgressSum_ = sum;
+                    lastProgressCycle_ = now_;
+                } else if (cfg_.fault.watchdogCycles != 0 &&
+                           now_ - lastProgressCycle_ >=
+                               cfg_.fault.watchdogCycles) {
+                    return RunExitReason::Watchdog;
+                }
             }
-            const u64 sum = progressSum();
-            if (sum != lastProgressSum_) {
-                lastProgressSum_ = sum;
-                lastProgressCycle_ = now_;
-            } else if (cfg_.fault.watchdogCycles != 0 &&
-                       now_ - lastProgressCycle_ >=
-                           cfg_.fault.watchdogCycles) {
-                RunExit e(RunExitReason::Watchdog, now_);
-                e.diagnostic = watchdogDump();
-                return e;
-            }
+            if (now_ >= limit)
+                return RunExitReason::CycleLimit;
+            stopAt = nextStop();
         }
-        if (now_ >= limit)
-            return {RunExitReason::CycleLimit, now_};
 
-        // Gather the units due this cycle by swapping the slot's vector
-        // with the empty due buffer: no copy, and the capacity moves
-        // between buffers instead of being freed, so once every buffer
-        // has grown to its working size nothing allocates.
-        due_.clear();
-        const u32 slotIdx = u32(now_) & (kWheelSize - 1);
-        auto &slot = wheel_[slotIdx];
-        if (!slot.empty()) {
-            due_.swap(slot);
-            wheelBits_[slotIdx >> 6] &= ~(1ull << (slotIdx & 63));
-            inWheel_ -= u32(due_.size());
+        // Gather the units due this cycle: the slot's list in push
+        // order, then the far heap's entries in (cycle, tid) order.
+        // An empty slot is never touched: its occupancy bit says so.
+        const Cycle now = now_;
+        ThreadId *const due = due_.data();
+        size_t n = 0;
+        const u32 slotIdx = u32(now) & (kWheelSize - 1);
+        u64 &bits = wheelBits_[slotIdx >> 6];
+        const u64 bit = 1ull << (slotIdx & 63);
+        if (bits & bit) {
+            WheelSlot &slot = wheel_[slotIdx];
+            for (ThreadId t = slot.head; t != kNoUnit; t = nextInSlot_[t])
+                due[n++] = t;
+            slot.head = kNoUnit;
+            bits &= ~bit;
+            inWheel_ -= u32(n);
         }
-        while (!far_.empty() && far_.top().first <= now_) {
-            due_.push_back(far_.top().second);
+        while (!far_.empty() && far_.top().first <= now) {
+            due[n++] = far_.top().second;
             far_.pop();
         }
 
-        if (due_.empty()) {
+        if (n == 0) {
             // Fast-forward to the next scheduled wake-up.
             Cycle next = inWheel_ > 0 ? nextWheelEvent() : kCycleNever;
             if (!far_.empty())
@@ -444,27 +519,28 @@ Chip::run(Cycle maxCycles)
             if (next == kCycleNever)
                 panic("cycle engine: %u live units but nothing scheduled",
                       liveUnits_);
-            cycles_ += next - now_;
+            cycles_ += next - now;
             now_ = next;
             continue;
         }
 
         // Rotate service order every cycle: round-robin arbitration of
-        // shared resources among same-cycle requesters.
-        const size_t n = due_.size();
-        size_t pos = n > 1 ? size_t(now_ % n) : 0;
+        // shared resources among same-cycle requesters. A tick never
+        // changes the due list, the unit table or now_.
+        const std::unique_ptr<Unit> *units = units_.data();
+        size_t pos = n > 1 ? size_t(now % n) : 0;
         for (size_t i = 0; i < n; ++i) {
-            const ThreadId tid = due_[pos];
+            const ThreadId tid = due[pos];
             if (++pos == n)
                 pos = 0;
             // Ticking a hundred-odd units in turn misses the host L1 on
             // each one's state: start loading the next one's while this
             // one ticks.
-            prefetchHotState(units_[due_[pos]].get());
-            Unit *u = units_[tid].get();
-            const Cycle wake = u->tick(now_);
-            if (wake - now_ - 1 < kWheelSize - 1) [[likely]] {
-                // In (now_, now_ + kWheelSize): the wheel, inline.
+            prefetchHotState(units[due[pos]].get());
+            Unit *u = units[tid].get();
+            const Cycle wake = u->tick(now);
+            if (wake - now - 1 < kWheelSize - 1) [[likely]] {
+                // In (now, now + kWheelSize): the wheel, inline.
                 pushWheel(tid, wake);
             } else if (wake == kCycleNever) {
                 if (!u->halted())
@@ -472,9 +548,9 @@ Chip::run(Cycle maxCycles)
                 --liveUnits_;
                 active_[tid] = 0;
                 if (tracer_.on(TraceCat::Sched))
-                    tracer_.instant(TraceCat::Sched, tid, "halt", now_);
+                    tracer_.instant(TraceCat::Sched, tid, "halt", now);
             } else {
-                if (wake <= now_)
+                if (wake <= now)
                     panic("unit %u rescheduled into the past", tid);
                 scheduleFar(tid, wake);
             }
@@ -482,7 +558,7 @@ Chip::run(Cycle maxCycles)
         ++cycles_;
         ++now_;
     }
-    return {RunExitReason::AllHalted, now_};
+    return RunExitReason::AllHalted;
 }
 
 // Take the PC samples due at or before now_. The cycle engine only

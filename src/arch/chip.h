@@ -111,33 +111,6 @@ void clearRunStop();
 bool runStopRequested();
 
 /**
- * Hook a multi-chip System (arch/system.h) installs on every member
- * Chip to service remote-window accesses. The split mirrors the local
- * path exactly: the functional value moves through remoteRead/
- * remoteWrite (called from Chip::memRead/memWrite), and the timing
- * query that follows goes through remoteAccess (called from
- * Chip::dmem). A store is staged by remoteWrite and committed by the
- * matching remoteAccess, which injects it into the fabric.
- */
-class RemotePort
-{
-  public:
-    virtual ~RemotePort() = default;
-
-    /** Functional read: snapshot of the target window at issue time. */
-    virtual u64 remoteRead(u32 srcChip, ThreadId tid, Addr ea,
-                           u8 bytes) = 0;
-
-    /** Stage a remote store (delivered at a fabric epoch boundary). */
-    virtual void remoteWrite(u32 srcChip, ThreadId tid, Addr ea,
-                             u8 bytes, u64 value) = 0;
-
-    /** Fabric timing of the access; commits a staged store. */
-    virtual MemTiming remoteAccess(u32 srcChip, ThreadId tid, Cycle now,
-                                   Addr ea, u8 bytes, MemKind kind) = 0;
-};
-
-/**
  * One predecoded text word: what ThreadUnit::issue() needs, derived
  * once from the instruction and its isa::meta entry.
  *
@@ -178,19 +151,67 @@ DecodedInstr predecode(const isa::Instr &instr);
 
 /**
  * One data reference decoded once: the remote-window test, the
- * interest-group route and the alignment and bounds checks. The same
- * decode feeds the functional copy (Chip::load/store) and the timing
- * path (Chip::dmem).
+ * interest-group route and the size, alignment and bounds checks. The
+ * same decode feeds the functional copy (Chip::load/store) and the
+ * timing path (Chip::loadTimed/storeTimed/dmem).
+ *
+ * A remote reference (route == null) names the target chip and the
+ * bytes in that chip's window: a load reads them at issue time (the
+ * conservative-epoch snapshot), and an untimed store (Chip::memWrite)
+ * writes them directly.
  */
 struct MemRef
 {
-    u8 *host = nullptr; ///< local storage of the bytes; null if remote
+    u8 *host = nullptr; ///< storage of the bytes (the target's, if remote)
     const MemSystem::RouteEntry *route = nullptr; ///< null if remote
     Addr ea = 0;
-    PhysAddr pa = 0;
+    PhysAddr pa = 0; ///< physical address (local references)
     u8 bytes = 0;
+    u8 chip = 0; ///< target chip of a remote reference
 
-    bool remote() const { return host == nullptr; }
+    bool remote() const { return route == nullptr; }
+};
+
+/** Copy the low @p bytes (1, 2, 4 or 8) of @p value to @p host. */
+inline void
+storeBytes(u8 *host, u64 value, u8 bytes)
+{
+    // Fixed-size copies for the word and doubleword cases compile to
+    // single moves.
+    switch (bytes) {
+      case 8:
+        std::memcpy(host, &value, 8);
+        break;
+      case 4: {
+        const u32 word = u32(value);
+        std::memcpy(host, &word, 4);
+        break;
+      }
+      default:
+        std::memcpy(host, &value, bytes);
+    }
+}
+
+/**
+ * Hook a multi-chip System (arch/system.h) installs on every member
+ * Chip to service remote-window references. Chip::decodeMem checks a
+ * remote reference like a local one; the timed load or store then
+ * reaches the port in one call, which injects it into the fabric.
+ */
+class RemotePort
+{
+  public:
+    virtual ~RemotePort() = default;
+
+    /**
+     * Fabric timing of one checked remote reference. A store carries
+     * its @p value, posted to land at a fabric epoch boundary; a load
+     * or prefetch charges the round trip (its value was read from
+     * ref.host at issue time). Atomics never get here.
+     */
+    virtual MemTiming remoteAccess(u32 srcChip, ThreadId tid, Cycle now,
+                                   const MemRef &ref, MemKind kind,
+                                   u64 value) = 0;
 };
 
 /** One Cyclops chip. */
@@ -239,23 +260,31 @@ class Chip
 
     /**
      * Read @p bytes (1..8, naturally aligned) at effective address
-     * @p ea on behalf of thread @p tid. Handles scratchpad windows.
+     * @p ea on behalf of thread @p tid, with no simulated time. Handles
+     * scratchpad windows; a remote-window address reads the target
+     * chip's window.
      */
     u64 memRead(Addr ea, u8 bytes, ThreadId tid);
 
-    /** Write counterpart of memRead(). */
+    /**
+     * Write counterpart of memRead(). A remote-window address writes
+     * the target chip's window directly: an untimed write bypasses the
+     * fabric (setup and verification, like writePhys).
+     */
     void memWrite(Addr ea, u8 bytes, u64 value, ThreadId tid);
 
     /**
      * Decode the data reference of @p bytes at @p ea by thread @p tid
-     * once, for load()/store() and dmem() alike. Throws GuestError on a
-     * misaligned, out-of-range or unbacked scratchpad reference.
+     * once, for load()/store() and the timed accesses alike. Throws
+     * GuestError on a misaligned, out-of-range or unbacked scratchpad
+     * reference, and on a remote reference to a chip outside the
+     * system or to this chip; a size other than 1, 2, 4 or 8 panics.
      */
-    MemRef
+    [[gnu::always_inline]] MemRef
     decodeMem(Addr ea, u8 bytes, ThreadId tid)
     {
         if (remote_ && isRemoteEa(ea)) [[unlikely]]
-            return MemRef{nullptr, nullptr, ea, 0, bytes};
+            return decodeRemote(ea, bytes, tid);
         const MemSystem::RouteEntry &route =
             memsys_.routeEntry(igField(ea));
         const PhysAddr pa = igPhys(ea);
@@ -276,12 +305,20 @@ class Chip
         return MemRef{&dram_[pa], &route, ea, pa, bytes};
     }
 
-    /** Functional read of a decoded reference. */
-    u64
-    load(const MemRef &ref, ThreadId tid)
+    /** decodeMem() of a 4-byte atomic: a remote one is a guest error. */
+    MemRef
+    decodeAtomic(Addr ea, ThreadId tid)
     {
+        const MemRef ref = decodeMem(ea, 4, tid);
         if (ref.remote()) [[unlikely]]
-            return remote_->remoteRead(chipId_, tid, ref.ea, ref.bytes);
+            remoteAtomic(ref, tid);
+        return ref;
+    }
+
+    /** Functional read of a decoded reference. */
+    static u64
+    load(const MemRef &ref)
+    {
         // Fixed-size copies for the word and doubleword cases compile
         // to single moves; on the little-endian host they yield the
         // same value as the variable-size copy into a zeroed u64.
@@ -305,25 +342,10 @@ class Chip
     }
 
     /** Functional write of a decoded reference. */
-    void
-    store(const MemRef &ref, u64 value, ThreadId tid)
+    static void
+    store(const MemRef &ref, u64 value)
     {
-        if (ref.remote()) [[unlikely]] {
-            remote_->remoteWrite(chipId_, tid, ref.ea, ref.bytes, value);
-            return;
-        }
-        switch (ref.bytes) {
-          case 8:
-            std::memcpy(ref.host, &value, 8);
-            break;
-          case 4: {
-            const u32 word = u32(value);
-            std::memcpy(ref.host, &word, 4);
-            break;
-          }
-          default:
-            std::memcpy(ref.host, &value, ref.bytes);
-        }
+        storeBytes(ref.host, value, ref.bytes);
     }
 
     /** Raw access to the physical memory image (loader, tests). */
@@ -333,18 +355,24 @@ class Chip
     // --- Multi-chip (arch/system.h) -------------------------------------------
 
     /**
-     * Attach the remote port that services remote-window accesses and
-     * assign this chip's identity (the CHIPID/NCHIPS SPRs). Installed
-     * by arch::System; standalone chips keep id 0 of 1 and route the
-     * whole 24-bit space locally.
+     * Attach the remote port that services remote-window references
+     * and assign this chip's identity (the CHIPID/NCHIPS SPRs).
+     * @p windows holds each chip's window storage (hostPhys of the
+     * window base), indexed by chip id. Installed by arch::System;
+     * standalone chips keep id 0 of 1 and route the whole 24-bit space
+     * locally.
      */
     void
-    attachRemote(RemotePort *port, u32 chipId, u32 numChips)
+    attachRemote(RemotePort *port, u32 chipId, std::vector<u8 *> windows)
     {
         remote_ = port;
         chipId_ = chipId;
-        numChips_ = numChips;
+        numChips_ = u32(windows.size());
+        windows_ = std::move(windows);
     }
+
+    /** Host storage of physical address @p addr (fatal past memory). */
+    u8 *hostPhys(PhysAddr addr);
 
     u32 chipId() const { return chipId_; }
     u32 numChips() const { return numChips_; }
@@ -391,6 +419,18 @@ class Chip
      */
     RunExit run(Cycle maxCycles = kCycleNever);
 
+    /**
+     * run() without building a RunExit: advance until every activated
+     * unit halts or cycle @p limit, and return why. exitOf() turns the
+     * reason into the RunExit run() would have returned (the signal
+     * number, the watchdog diagnostic); call it before running again.
+     * arch::System drives its chips through this, once per epoch.
+     */
+    RunExitReason runTo(Cycle limit);
+
+    /** The RunExit of the runTo() call that just returned @p reason. */
+    RunExit exitOf(RunExitReason reason) const;
+
     /** Number of activated, not-yet-halted units. */
     u32 liveUnits() const { return liveUnits_; }
 
@@ -407,26 +447,52 @@ class Chip
     }
 
     /**
-     * One data-memory timing access: remote-window addresses go to the
-     * multi-chip fabric, everything else to the local memory system.
-     * Units call this instead of memsys().access() directly.
+     * Timed load of a decoded reference: the value goes to @p value,
+     * the timing is returned. A remote reference reaches the multi-chip
+     * fabric in one RemotePort call.
+     */
+    MemTiming
+    loadTimed(Cycle now, ThreadId tid, const MemRef &ref, u64 *value)
+    {
+        *value = load(ref);
+        if (ref.remote()) [[unlikely]]
+            return remote_->remoteAccess(chipId_, tid, now, ref,
+                                         MemKind::Load, 0);
+        return memsys_.accessDecoded(now, tid, *ref.route, ref.ea, ref.pa,
+                                     ref.bytes, MemKind::Load);
+    }
+
+    /** Timed store of @p value through a decoded reference. */
+    MemTiming
+    storeTimed(Cycle now, ThreadId tid, const MemRef &ref, u64 value)
+    {
+        if (ref.remote()) [[unlikely]]
+            return remote_->remoteAccess(chipId_, tid, now, ref,
+                                         MemKind::Store, value);
+        store(ref, value);
+        return memsys_.accessDecoded(now, tid, *ref.route, ref.ea, ref.pa,
+                                     ref.bytes, MemKind::Store);
+    }
+
+    /**
+     * One data-memory timing access with no value (prefetch): remote-
+     * window addresses go to the multi-chip fabric, everything else to
+     * the local memory system.
      */
     MemTiming
     dmem(Cycle now, ThreadId tid, Addr ea, u8 bytes, MemKind kind)
     {
         if (remote_ && isRemoteEa(ea)) [[unlikely]]
-            return remote_->remoteAccess(chipId_, tid, now, ea, bytes,
-                                         kind);
+            return remote_->remoteAccess(chipId_, tid, now,
+                                         decodeRemote(ea, bytes, tid),
+                                         kind, 0);
         return memsys_.access(now, tid, ea, bytes, kind);
     }
 
-    /** dmem() of a reference decodeMem() has already checked. */
+    /** Timing of a local reference decoded by decodeAtomic(). */
     MemTiming
     dmem(Cycle now, ThreadId tid, const MemRef &ref, MemKind kind)
     {
-        if (ref.remote()) [[unlikely]]
-            return remote_->remoteAccess(chipId_, tid, now, ref.ea,
-                                         ref.bytes, kind);
         return memsys_.accessDecoded(now, tid, *ref.route, ref.ea, ref.pa,
                                      ref.bytes, kind);
     }
@@ -493,18 +559,43 @@ class Chip
     void schedule(ThreadId tid, Cycle when);
     [[gnu::noinline]] void scheduleFar(ThreadId tid, Cycle when);
 
-    /** Queue @p tid at @p when, in (now_, now_ + kWheelSize). */
+    /** Append @p tid to the slot of @p when, in (now_, now_ + kWheelSize). */
     void
     pushWheel(ThreadId tid, Cycle when)
     {
         const u32 slot = u32(when) & (kWheelSize - 1);
-        wheel_[slot].push_back(tid);
-        wheelBits_[slot >> 6] |= 1ull << (slot & 63);
+        WheelSlot &s = wheel_[slot];
+        nextInSlot_[tid] = kNoUnit;
+        if (s.head == kNoUnit) {
+            s.head = tid;
+            wheelBits_[slot >> 6] |= 1ull << (slot & 63);
+        } else {
+            nextInSlot_[s.tail] = tid;
+        }
+        s.tail = tid;
         ++inWheel_;
     }
 
     Cycle nextWheelEvent() const;
     MemRef decodeSlow(Addr ea, u8 bytes, ThreadId tid);
+
+    /** decodeMem() of a remote-window address (a System is attached). */
+    MemRef
+    decodeRemote(Addr ea, u8 bytes, ThreadId tid) const
+    {
+        const u32 dst = remoteChipOf(ea);
+        const PhysAddr offset = remoteOffsetOf(ea);
+        if (bytes == 0 || bytes > 8 || !isPow2(bytes) || dst >= numChips_ ||
+            dst == chipId_ || (offset & (bytes - 1u)) != 0) [[unlikely]]
+            badRemote(ea, bytes, tid);
+        return MemRef{windows_[dst] + offset, nullptr, ea, 0, bytes,
+                      u8(dst)};
+    }
+
+    [[noreturn, gnu::cold]] void badRemote(Addr ea, u8 bytes,
+                                           ThreadId tid) const;
+    [[noreturn, gnu::cold]] void remoteAtomic(const MemRef &ref,
+                                              ThreadId tid) const;
     [[noreturn, gnu::cold]] void badPc(PhysAddr pc) const;
 
     void samplePcs();
@@ -551,29 +642,41 @@ class Chip
     // the chip-wide progress-event sum advanced.
     static constexpr Cycle kServiceInterval = 1024;
     Cycle svcNext_ = kServiceInterval;
+    int stopSignal_ = 0; ///< signal of the last Signal exit
     u64 lastProgressSum_ = 0;
     Cycle lastProgressCycle_ = 0;
 
-    // Cycle engine: timing wheel + far-future heap. A one-bit-per-slot
-    // occupancy bitmap makes the idle fast-forward a countr_zero scan
-    // over 16 words instead of a linear walk of up to 1024 slots.
+    // Cycle engine: timing wheel + far-future heap. Each wheel slot is
+    // a FIFO list threaded through nextInSlot_ (a unit waits in at
+    // most one slot), so pushing and gathering allocate nothing. A
+    // one-bit-per-slot occupancy bitmap makes the idle fast-forward a
+    // countr_zero scan over 16 words instead of a walk of 1024 slots.
+    static constexpr ThreadId kNoUnit = ~ThreadId(0);
+    struct WheelSlot
+    {
+        ThreadId head = kNoUnit; ///< first unit due, kNoUnit if empty
+        ThreadId tail = kNoUnit; ///< last unit due
+    };
     Cycle now_ = 0;
     u32 liveUnits_ = 0;
-    std::vector<std::vector<ThreadId>> wheel_;
+    std::array<WheelSlot, kWheelSize> wheel_{};
     std::array<u64, kWheelWords> wheelBits_{}; ///< slot-occupancy bitmap
+    std::vector<ThreadId> nextInSlot_; ///< per unit: next in its slot
     using FarEntry = std::pair<Cycle, ThreadId>;
     std::priority_queue<FarEntry, std::vector<FarEntry>,
                         std::greater<FarEntry>>
         far_;
     u32 inWheel_ = 0;
-    std::vector<ThreadId> due_; ///< reusable due-this-cycle buffer
+    std::vector<ThreadId> due_; ///< this cycle's due units, numThreads slots
 
     std::string console_;
 
-    // Multi-chip remote-window port (null on standalone chips).
+    // Multi-chip remote-window port (null on standalone chips) and
+    // every chip's window storage, by chip id.
     RemotePort *remote_ = nullptr;
     u32 chipId_ = 0;
     u32 numChips_ = 1;
+    std::vector<u8 *> windows_;
 
     Counter cycles_;
     Counter trapsServed_;

@@ -103,9 +103,12 @@ System::System(const SystemConfig &cfg)
         cc.obs.statsCsv = perChipPath(obsOrig_.statsCsv, i);
         cc.obs.profOut = perChipPath(obsOrig_.profOut, i);
         chips_.push_back(std::make_unique<Chip>(cc));
-        chips_.back()->attachRemote(this, i, n);
     }
-    staged_.resize(size_t(n) * cfg_.chip.numThreads);
+    std::vector<u8 *> windows(n);
+    for (u32 i = 0; i < n; ++i)
+        windows[i] = chips_[i]->hostPhys(windowBase_);
+    for (u32 i = 0; i < n; ++i)
+        chips_[i]->attachRemote(this, i, windows);
 }
 
 void
@@ -133,139 +136,76 @@ System::totalInstructions() const
     return sum;
 }
 
-u32
-System::checkRemoteEa(u32 srcChip, ThreadId tid, Addr ea, u8 bytes) const
-{
-    const u32 dst = remoteChipOf(ea);
-    if (dst >= numChips())
-        guestCheck("remote window addresses chip %u of a %u-chip "
-                   "system (chip %u thread %u, ea 0x%08x)",
-                   dst, numChips(), srcChip, tid, ea);
-    if (dst == srcChip)
-        guestCheck("remote window targets the local chip %u "
-                   "(thread %u, ea 0x%08x)", srcChip, tid, ea);
-    if (remoteOffsetOf(ea) % bytes != 0)
-        guestCheck("misaligned %u-byte remote access at 0x%08x "
-                   "(chip %u thread %u)", bytes, ea, srcChip, tid);
-    return dst;
-}
-
-u64
-System::remoteRead(u32 srcChip, ThreadId tid, Addr ea, u8 bytes)
-{
-    const u32 dst = checkRemoteEa(srcChip, tid, ea, bytes);
-    u64 value = 0;
-    chips_[dst]->readPhys(windowBase_ + remoteOffsetOf(ea), &value,
-                          bytes);
-    return value;
-}
-
-void
-System::remoteWrite(u32 srcChip, ThreadId tid, Addr ea, u8 bytes,
-                    u64 value)
-{
-    checkRemoteEa(srcChip, tid, ea, bytes);
-    StagedStore &s = staged_[size_t(srcChip) * cfg_.chip.numThreads + tid];
-    if (s.valid)
-        panic("chip %u thread %u staged a second remote store "
-              "(ea 0x%08x) before the first was committed", srcChip,
-              tid, ea);
-    s = {true, ea, bytes, value};
-}
-
 MemTiming
-System::remoteAccess(u32 srcChip, ThreadId tid, Cycle now, Addr ea,
-                     u8 bytes, MemKind kind)
+System::remoteAccess(u32 srcChip, ThreadId tid, Cycle now, const MemRef &ref,
+                     MemKind kind, u64 value)
 {
-    if (kind == MemKind::Atomic)
-        guestCheck("remote atomics are not supported (chip %u "
-                   "thread %u, ea 0x%08x)", srcChip, tid, ea);
-    const u32 dst = checkRemoteEa(srcChip, tid, ea, bytes);
-    const net::Topology &topo = fabric_.topology();
-
+    const u32 dst = ref.chip;
     MemTiming t;
     t.remote = true;
     t.hit = false;
     t.fabric = true; // waits on this timing charge to RemoteWait
     if (kind == MemKind::Store) {
-        StagedStore &s =
-            staged_[size_t(srcChip) * cfg_.chip.numThreads + tid];
-        if (!s.valid || s.ea != ea)
-            panic("remote store timing with no staged value "
-                  "(chip %u thread %u, ea 0x%08x)", srcChip, tid, ea);
-        const u32 msg = cfg_.fabric.reqHeaderBytes + bytes;
+        const u32 msg = cfg_.fabric.reqHeaderBytes + ref.bytes;
         const net::Delivery d = fabric_.inject(now, srcChip, dst, msg);
-        if (!d.ok) {
-            // Retries exhausted: the store is abandoned, never lands,
-            // and the run ends with a structured FabricFailure at the
-            // next epoch boundary — the thread stalls until the
-            // sender's give-up cycle, not forever.
-            s.valid = false;
-            noteFabricFailure(strprintf(
-                "chip %u thread %u: remote store to chip %u "
-                "(ea 0x%08x) abandoned after %u fabric retries: "
-                "destination unreachable or retry storm",
-                srcChip, tid, dst, ea, d.retries));
-            t.ready = d.delivered;
-            t.queueWait = 0;
-            return t;
-        }
-        u64 value = s.value;
+        if (!d.ok) [[unlikely]]
+            return abandoned("remote store to", srcChip, tid, dst, ref, d);
         if (d.corrupted) {
             // The corruption escaped the end-to-end checksum: flip
             // one deterministic payload bit — silent data corruption
             // the fault campaigns classify as SDC.
-            value ^= u64(1) << (seq_ % (u64(s.bytes) * 8));
+            value ^= u64(1) << (seq_ % (u64(ref.bytes) * 8));
         }
-        pending_.push({d.delivered, seq_++, dst,
-                       windowBase_ + remoteOffsetOf(ea), s.bytes,
-                       value});
-        s.valid = false;
+        pending_.emplace(d.delivered, seq_++, ref.host, value, ref.bytes);
         // Posted store: the thread resumes when the injection port
         // drains, so sustained stores are paced to the link bandwidth
         // (the 12 GB/s I/O budget).
         t.ready = d.accepted;
-        const u32 lbpc = cfg_.fabric.net.linkBytesPerCycle;
-        const Cycle serialization = (msg + lbpc - 1) / lbpc;
-        t.queueWait = d.accepted - now - serialization;
+        t.queueWait = d.accepted - now - fabric_.serialization(msg);
     } else {
         // Load/Prefetch: a header-only request, then the response with
         // the payload injected when the request arrives. The value
-        // itself was snapshot by remoteRead at issue time.
+        // itself was read from the target window at issue time.
         const u32 req = cfg_.fabric.reqHeaderBytes;
-        const u32 resp = cfg_.fabric.respHeaderBytes + bytes;
+        const u32 resp = cfg_.fabric.respHeaderBytes + ref.bytes;
         const net::Delivery d1 = fabric_.inject(now, srcChip, dst, req);
-        if (!d1.ok) {
-            noteFabricFailure(strprintf(
-                "chip %u thread %u: remote load request to chip %u "
-                "(ea 0x%08x) abandoned after %u fabric retries: "
-                "destination unreachable or retry storm",
-                srcChip, tid, dst, ea, d1.retries));
-            t.ready = d1.delivered;
-            t.queueWait = 0;
-            return t;
-        }
+        if (!d1.ok) [[unlikely]]
+            return abandoned("remote load request to", srcChip, tid, dst,
+                             ref, d1);
         const net::Delivery d2 =
             fabric_.inject(d1.delivered, dst, srcChip, resp);
-        if (!d2.ok) {
-            noteFabricFailure(strprintf(
-                "chip %u thread %u: remote load response from chip %u "
-                "(ea 0x%08x) abandoned after %u fabric retries: "
-                "destination unreachable or retry storm",
-                srcChip, tid, dst, ea, d2.retries));
-            t.ready = d2.delivered;
-            t.queueWait = 0;
-            return t;
-        }
+        if (!d2.ok) [[unlikely]]
+            return abandoned("remote load response from", srcChip, tid,
+                             dst, ref, d2);
         // A response corruption that escapes the checksum is caught
         // by a higher-level re-request in real hardware; the model
-        // keeps loads exact (the value was snapshot by remoteRead).
+        // keeps loads exact (the value was read at issue time).
         t.ready = d2.delivered;
-        const Cycle uncontended =
-            topo.uncontendedLatency(srcChip, dst, req) +
-            topo.uncontendedLatency(dst, srcChip, resp);
+        const Cycle uncontended = fabric_.wireLatency(srcChip, dst, req) +
+                                  fabric_.wireLatency(dst, srcChip, resp);
         t.queueWait = (d2.delivered - now) - uncontended;
     }
+    return t;
+}
+
+MemTiming
+System::abandoned(const char *what, u32 srcChip, ThreadId tid, u32 peer,
+                  const MemRef &ref, const net::Delivery &d)
+{
+    // Retries exhausted: a store is abandoned and never lands, and the
+    // run ends with a structured FabricFailure at the next epoch
+    // boundary — the thread stalls until the sender's give-up cycle,
+    // not forever.
+    noteFabricFailure(strprintf(
+        "chip %u thread %u: %s chip %u (ea 0x%08x) abandoned after %u "
+        "fabric retries: destination unreachable or retry storm",
+        srcChip, tid, what, peer, ref.ea, d.retries));
+    MemTiming t;
+    t.remote = true;
+    t.hit = false;
+    t.fabric = true;
+    t.ready = d.delivered;
+    t.queueWait = 0;
     return t;
 }
 
@@ -279,12 +219,13 @@ System::noteFabricFailure(std::string diag)
 }
 
 void
-System::noteEpochRetransmits()
+System::sampleRetransmits()
 {
     const Cycle window = 2 * Cycle(cfg_.chip.fault.watchdogCycles);
+    const u64 cur = fabric_.retransmits();
+    retransLast_ = cur;
     if (window == 0)
         return; // watchdog off: no attribution needed
-    const u64 cur = fabric_.retransmits();
     if (retransHist_.empty())
         retransHist_.emplace_back(0, 0); // baseline: nothing resent yet
     if (retransHist_.back().second != cur)
@@ -294,6 +235,9 @@ System::noteEpochRetransmits()
     const Cycle cutoff = now_ > window ? now_ - window : 0;
     while (retransHist_.size() > 1 && retransHist_[1].first <= cutoff)
         retransHist_.pop_front();
+    retransPruneAt_ = retransHist_.size() > 1
+                          ? retransHist_[1].first + window
+                          : kCycleNever;
 }
 
 u64
@@ -310,8 +254,8 @@ System::applyDeliveries(Cycle upTo)
     // Total (delivered, seq) order: a flag stored after its payload on
     // the same path has a later delivery cycle (per-link FIFO), so it
     // is applied after — the cross-chip ordering guests rely on.
-    pending_.popUpTo(upTo, [this](const PendingStore &p) {
-        chips_[p.dstChip]->writePhys(p.pa, &p.value, p.bytes);
+    pending_.popUpTo(upTo, [](const PendingStore &p) {
+        storeBytes(p.host, p.value, p.bytes);
     });
     fabric_.advance(upTo);
 }
@@ -324,6 +268,16 @@ System::run(Cycle maxCycles)
                             : now_ + maxCycles;
     const Cycle epoch = cfg_.fabric.epoch();
 
+    // The laggard live chip and the leading chip, kept up to date by
+    // the one pass over the chips each epoch makes.
+    Cycle minLive = kCycleNever;
+    Cycle maxNow = now_;
+    for (const auto &chip : chips_) {
+        maxNow = std::max(maxNow, chip->now());
+        if (chip->liveUnits())
+            minLive = std::min(minLive, chip->now());
+    }
+
     while (true) {
         if (fabricFailed_) {
             // A remote access exhausted its fabric retries during the
@@ -331,13 +285,6 @@ System::run(Cycle maxCycles)
             RunExit e(RunExitReason::FabricFailure, now_);
             e.diagnostic = failDiag_;
             return e;
-        }
-        Cycle minLive = kCycleNever;
-        Cycle maxNow = now_;
-        for (const auto &chip : chips_) {
-            maxNow = std::max(maxNow, chip->now());
-            if (chip->liveUnits())
-                minLive = std::min(minLive, chip->now());
         }
         if (minLive == kCycleNever) {
             // Everything halted: flush the fabric so conservation
@@ -359,35 +306,47 @@ System::run(Cycle maxCycles)
             target = minLive;
         target = std::min(target, limit);
 
-        for (u32 i = 0; i < numChips(); ++i) {
-            Chip &c = *chips_[i];
-            if (c.liveUnits() == 0 || c.now() >= target)
-                continue;
-            RunExit e = c.run(target - c.now());
-            if (e == RunExitReason::Watchdog) {
-                // Attribute the hang: retransmissions climbing inside
-                // the trailing watchdog window point at fabric-level
-                // livelock (a retry storm), not chip-level deadlock.
-                const u64 storm = recentRetransmits();
-                std::string attribution;
-                if (storm > 0)
-                    attribution = strprintf(
-                        "fabric livelock suspected: %llu "
-                        "retransmissions in the trailing watchdog "
-                        "window (retry storm)\n",
-                        static_cast<unsigned long long>(storm));
-                e.diagnostic = attribution +
-                               strprintf("chip %u\n", i) + e.diagnostic;
-                return e;
+        minLive = kCycleNever;
+        maxNow = target;
+        const std::unique_ptr<Chip> *chips = chips_.data();
+        for (u32 i = 0, n = numChips(); i < n; ++i) {
+            Chip &c = *chips[i];
+            if (c.liveUnits() != 0 && c.now() < target) {
+                const RunExitReason r = c.runTo(target);
+                if (r == RunExitReason::Watchdog ||
+                    r == RunExitReason::Signal) [[unlikely]]
+                    return chipExit(i, r);
             }
-            if (e == RunExitReason::Signal)
-                return e;
+            const Cycle at = c.now();
+            maxNow = std::max(maxNow, at);
+            if (c.liveUnits())
+                minLive = std::min(minLive, at);
         }
         now_ = target;
         applyDeliveries(now_);
         fabricSampler_.maybeSample(now_);
         noteEpochRetransmits();
     }
+}
+
+RunExit
+System::chipExit(u32 id, RunExitReason reason) const
+{
+    RunExit e = chips_[id]->exitOf(reason);
+    if (reason != RunExitReason::Watchdog)
+        return e;
+    // Attribute the hang: retransmissions climbing inside the trailing
+    // watchdog window point at fabric-level livelock (a retry storm),
+    // not chip-level deadlock.
+    const u64 storm = recentRetransmits();
+    std::string attribution;
+    if (storm > 0)
+        attribution = strprintf("fabric livelock suspected: %llu "
+                                "retransmissions in the trailing "
+                                "watchdog window (retry storm)\n",
+                                static_cast<unsigned long long>(storm));
+    e.diagnostic = attribution + strprintf("chip %u\n", id) + e.diagnostic;
+    return e;
 }
 
 void

@@ -138,14 +138,14 @@ class System : private RemotePort
 
   private:
     // RemotePort (installed on every chip).
-    u64 remoteRead(u32 srcChip, ThreadId tid, Addr ea, u8 bytes) override;
-    void remoteWrite(u32 srcChip, ThreadId tid, Addr ea, u8 bytes,
-                     u64 value) override;
-    MemTiming remoteAccess(u32 srcChip, ThreadId tid, Cycle now, Addr ea,
-                           u8 bytes, MemKind kind) override;
+    MemTiming remoteAccess(u32 srcChip, ThreadId tid, Cycle now,
+                           const MemRef &ref, MemKind kind,
+                           u64 value) override;
 
-    /** Validate a remote EA; returns the destination chip id. */
-    u32 checkRemoteEa(u32 srcChip, ThreadId tid, Addr ea, u8 bytes) const;
+    /** Latch an access the fabric gave up on; its (stalled) timing. */
+    [[gnu::cold, gnu::noinline]] MemTiming
+    abandoned(const char *what, u32 srcChip, ThreadId tid, u32 peer,
+              const MemRef &ref, const net::Delivery &d);
 
     /** Apply pending stores delivered at or before @p upTo. */
     void applyDeliveries(Cycle upTo);
@@ -156,7 +156,22 @@ class System : private RemotePort
 
     /** Record the epoch's retransmit count for watchdog attribution
      *  and prune samples outside the trailing window. */
-    void noteEpochRetransmits();
+    void
+    noteEpochRetransmits()
+    {
+        // No new retransmission and no sample leaving the window: the
+        // history stays as it is (always, with the watchdog off).
+        if (fabric_.retransmits() == retransLast_ &&
+            now_ < retransPruneAt_)
+            return;
+        sampleRetransmits();
+    }
+    void sampleRetransmits();
+
+    /** The RunExit of chip @p id stopping the system with @p reason
+     *  (Watchdog or Signal); a watchdog names the chip and any retry
+     *  storm. */
+    [[gnu::cold]] RunExit chipExit(u32 id, RunExitReason reason) const;
 
     /** Retransmissions within the trailing watchdog window. */
     u64 recentRetransmits() const;
@@ -171,20 +186,10 @@ class System : private RemotePort
     struct PendingStore
     {
         Cycle delivered = 0;
-        u64 seq = 0; ///< injection sequence: total order tie-breaker
-        u32 dstChip = 0;
-        PhysAddr pa = 0;
-        u8 bytes = 0;
+        u64 seq = 0;         ///< injection sequence: total order tie-breaker
+        u8 *host = nullptr;  ///< the bytes in the target chip's window
         u64 value = 0;
-    };
-
-    /** Store staged by remoteWrite, consumed by the remoteAccess. */
-    struct StagedStore
-    {
-        bool valid = false;
-        Addr ea = 0;
         u8 bytes = 0;
-        u64 value = 0;
     };
 
     SystemConfig cfg_;
@@ -196,7 +201,6 @@ class System : private RemotePort
     PhysAddr windowBase_ = 0;
     Cycle now_ = 0;
     u64 seq_ = 0;
-    std::vector<StagedStore> staged_; ///< one slot per (chip, thread)
     // Posted stores in (delivered, seq) order. 512 one-cycle buckets
     // hold nearly every store of a loaded fabric; later deliveries
     // (deep link backlogs, retransmissions) fall back to a heap.
@@ -212,6 +216,8 @@ class System : private RemotePort
     // Watchdog exit distinguish fabric-level livelock (retry storm)
     // from chip-level deadlock.
     std::deque<std::pair<Cycle, u64>> retransHist_;
+    u64 retransLast_ = 0;             ///< fabric.retransmits at the last sample
+    Cycle retransPruneAt_ = kCycleNever; ///< when retransHist_[1] leaves
 };
 
 } // namespace cyclops::arch

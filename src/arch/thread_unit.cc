@@ -60,8 +60,7 @@ ThreadUnit::setRegPair(unsigned even, double value)
 [[gnu::always_inline]] inline Cycle
 ThreadUnit::waitMemSlot(Cycle now)
 {
-    mem_.prune(now);
-    if (!mem_.full())
+    if (!mem_.full(now))
         return 0;
     const Cycle wake = std::max(mem_.earliest(), now + 1);
     accountWait(now, wake,
@@ -208,11 +207,11 @@ ThreadUnit::issue(Cycle now, const DecodedInstr &d)
         const Addr ea =
             a + ((d.flags & DecodedInstr::kIndexed) ? b : u32(imm));
         const MemRef ref = chip_.decodeMem(ea, d.memBytes, tid_);
-        u64 raw = chip_.load(ref, tid_);
+        u64 raw;
+        const MemTiming t = chip_.loadTimed(now, tid_, ref, &raw);
         if (d.flags & DecodedInstr::kSignExt)
             raw = d.memBytes == 1 ? u32(s32(s8(raw))) : u32(s32(s16(raw)));
         notePoll(pc_, ea, raw);
-        const MemTiming t = chip_.dmem(now, tid_, ref, MemKind::Load);
         noteDmem(t.hit);
         const CycleCat prod =
             t.fabric ? CycleCat::RemoteWait : CycleCat::DcacheMiss;
@@ -243,8 +242,7 @@ ThreadUnit::issue(Cycle now, const DecodedInstr &d)
         u64 value = rf_[rd].value;
         if (d.memBytes == 8)
             value |= u64(rf_[rd + 1].value) << 32;
-        chip_.store(ref, value, tid_);
-        const MemTiming t = chip_.dmem(now, tid_, ref, MemKind::Store);
+        const MemTiming t = chip_.storeTimed(now, tid_, ref, value);
         noteDmem(t.hit);
         mem_.add(t.ready, t.fabric);
         accountIssue(now, 1);
@@ -259,8 +257,8 @@ ThreadUnit::issue(Cycle now, const DecodedInstr &d)
         if (const Cycle wake = waitMemSlot(now))
             return wake;
         const Addr ea = a;
-        const MemRef ref = chip_.decodeMem(ea, 4, tid_);
-        const u32 old = u32(chip_.load(ref, tid_));
+        const MemRef ref = chip_.decodeAtomic(ea, tid_);
+        const u32 old = u32(Chip::load(ref));
         // Polling semantics: amotas/amocas re-reading a held lock
         // makes no progress; a changing value (amoadd tickets,
         // released locks) does.
@@ -274,7 +272,7 @@ ThreadUnit::issue(Cycle now, const DecodedInstr &d)
         else if (d.op == Opcode::Amotas)
             fresh = 1;
         if (doWrite)
-            chip_.store(ref, fresh, tid_);
+            Chip::store(ref, fresh);
         const MemTiming t = chip_.dmem(now, tid_, ref, MemKind::Atomic);
         noteDmem(t.hit);
         setReg(rd, old);

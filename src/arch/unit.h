@@ -272,6 +272,9 @@ class Unit
  * per-thread limit on outstanding memory references. Each entry also
  * remembers whether it crossed the fabric, so a wait gated on a remote
  * operation is charged to RemoteWait instead of the d-cache bucket.
+ * Completed operations are dropped only when the set is at its limit
+ * (or a sync asks), and the earliest completion time is kept up to
+ * date, so the common test is one compare.
  */
 class OutstandingMem
 {
@@ -281,6 +284,7 @@ class OutstandingMem
     {
         limit_ = limit;
         count_ = 0;
+        minDone_ = kCycleNever;
         entries_.assign(limit, Entry{});
     }
 
@@ -288,33 +292,63 @@ class OutstandingMem
     void
     prune(Cycle now)
     {
+        if (now < minDone_)
+            return; // nothing has completed (or nothing is tracked)
         u32 kept = 0;
-        for (u32 i = 0; i < count_; ++i)
-            if (entries_[i].done > now)
+        Cycle earliest = kCycleNever;
+        for (u32 i = 0; i < count_; ++i) {
+            if (entries_[i].done > now) {
+                earliest = std::min(earliest, entries_[i].done);
                 entries_[kept++] = entries_[i];
+            }
+        }
         count_ = kept;
+        minDone_ = earliest;
     }
 
-    bool full() const { return count_ >= limit_; }
+    /**
+     * Whether limit operations are still in flight at @p now. Below the
+     * limit nothing needs dropping to answer, so completed operations
+     * are pruned only here at the limit (and by prune()).
+     */
+    bool
+    full(Cycle now)
+    {
+        if (count_ < limit_)
+            return false;
+        prune(now);
+        return count_ >= limit_;
+    }
+
+    /** Nothing tracked; exact after prune(). */
     bool empty() const { return count_ == 0; }
 
-    /** Completion time that frees the first slot. */
-    Cycle earliest() const { return minEntry().done; }
+    /** Completion time that frees the first slot (after full()). */
+    Cycle earliest() const { return minDone_; }
 
     /** Completion time of the last operation to finish. */
     Cycle latest() const { return maxEntry().done; }
 
     /** Whether the operation freeing the first slot is remote. */
-    bool earliestFabric() const { return minEntry().fabric; }
+    bool
+    earliestFabric() const
+    {
+        // First-min: a deterministic tie-break for attribution when
+        // completion times collide.
+        for (u32 i = 0;; ++i)
+            if (entries_[i].done == minDone_)
+                return entries_[i].fabric;
+    }
 
     /** Whether the operation finishing last is remote. */
     bool latestFabric() const { return maxEntry().fabric; }
 
-    /** Track one more operation; callers check full() first. */
+    /** Track one more operation; callers check full(now) first. */
     void
     add(Cycle done, bool fabric = false)
     {
         entries_[count_++] = {done, fabric};
+        minDone_ = std::min(minDone_, done);
     }
 
   private:
@@ -324,16 +358,7 @@ class OutstandingMem
         bool fabric = false;
     };
 
-    // First-min / first-max: a deterministic tie-break for attribution
-    // when completion times collide.
-    const Entry &
-    minEntry() const
-    {
-        return *std::min_element(
-            entries_.begin(), entries_.begin() + count_,
-            [](const Entry &a, const Entry &b) { return a.done < b.done; });
-    }
-
+    // First-max, the counterpart of earliestFabric's first-min.
     const Entry &
     maxEntry() const
     {
@@ -344,6 +369,7 @@ class OutstandingMem
 
     u32 limit_ = 4;
     u32 count_ = 0;
+    Cycle minDone_ = kCycleNever; ///< earliest done of the tracked entries
     std::vector<Entry> entries_; ///< limit_ slots, the first count_ live
 };
 

@@ -22,6 +22,7 @@
 #define CYCLOPS_COMMON_CYCLE_QUEUE_H
 
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -47,26 +48,21 @@ class CycleBucketQueue
     void
     push(const T &e)
     {
-        // An entry behind the base wraps to a huge distance: far.
-        if (e.delivered - base_ >= kBuckets) {
-            far_.push(e);
-            return;
-        }
-        u32 idx = free_;
-        if (idx != kNil) {
-            free_ = pool_[idx].next;
-            pool_[idx] = {e, kNil};
-        } else {
-            idx = u32(pool_.size());
-            pool_.push_back({e, kNil});
-        }
-        Bucket &b = ring_[e.delivered & (kBuckets - 1)];
-        if (b.tail == kNil)
-            b.head = idx;
+        if (T *slot = place(e.delivered)) [[likely]]
+            *slot = e;
         else
-            pool_[b.tail].next = idx;
-        b.tail = idx;
-        ++near_;
+            pushFar(e);
+    }
+
+    /** push(T{delivered, args...}), built in its queue slot. */
+    template <class... Args>
+    void
+    emplace(Cycle delivered, Args &&...args)
+    {
+        if (T *slot = place(delivered)) [[likely]]
+            *slot = T{delivered, std::forward<Args>(args)...};
+        else
+            pushFar(T{delivered, std::forward<Args>(args)...});
     }
 
     /**
@@ -81,23 +77,37 @@ class CycleBucketQueue
         if (upTo >= base_) {
             const Cycle span = upTo - base_;
             const Cycle n = span >= kBuckets ? kBuckets : span + 1;
-            for (Cycle i = 0; i < n && near_ != 0; ++i) {
-                Bucket &b = ring_[(base_ + i) & (kBuckets - 1)];
+            // apply() may write anywhere (it stores guest bytes), so
+            // the list state lives in locals until the walk ends. The
+            // heap only shrinks here (apply() must not push).
+            Node *const pool = pool_.data();
+            Bucket *const ring = ring_.data();
+            const Cycle base = base_;
+            const bool farEmpty = far_.empty();
+            u32 freeList = free_;
+            size_t near = near_;
+            for (Cycle i = 0; i < n && near != 0; ++i) {
+                Bucket &b = ring[(base + i) & (kBuckets - 1)];
                 for (u32 idx = b.head; idx != kNil;) {
-                    Node &node = pool_[idx];
-                    while (!far_.empty() && Later{}(node.e, far_.top())) {
-                        apply(far_.top());
-                        far_.pop();
+                    Node &node = pool[idx];
+                    if (!farEmpty) [[unlikely]] {
+                        while (!far_.empty() &&
+                               Later{}(node.e, far_.top())) {
+                            apply(far_.top());
+                            far_.pop();
+                        }
                     }
                     apply(node.e);
                     const u32 next = node.next;
-                    node.next = free_;
-                    free_ = idx;
+                    node.next = freeList;
+                    freeList = idx;
                     idx = next;
-                    --near_;
+                    --near;
                 }
                 b = {};
             }
+            free_ = freeList;
+            near_ = near;
             // A drain leaves the base where it is: the ring is empty,
             // and upTo + 1 would wrap.
             if (upTo != kCycleNever)
@@ -114,6 +124,43 @@ class CycleBucketQueue
 
   private:
     static constexpr u32 kNil = ~0u;
+
+    [[gnu::noinline]] void pushFar(const T &e) { far_.push(e); }
+
+    /** A new pool node (the free list is empty); returns its index. */
+    [[gnu::noinline]] u32
+    grow()
+    {
+        pool_.emplace_back();
+        return u32(pool_.size() - 1);
+    }
+
+    /**
+     * Append a node for an entry due at @p delivered to its bucket and
+     * return the node's entry, or null if the entry belongs in the far
+     * heap (beyond the horizon, or behind the base: a huge distance).
+     */
+    T *
+    place(Cycle delivered)
+    {
+        if (delivered - base_ >= kBuckets)
+            return nullptr;
+        u32 idx = free_;
+        if (idx != kNil) [[likely]] {
+            free_ = pool_[idx].next;
+            pool_[idx].next = kNil;
+        } else {
+            idx = grow();
+        }
+        Bucket &b = ring_[delivered & (kBuckets - 1)];
+        if (b.tail == kNil)
+            b.head = idx;
+        else
+            pool_[b.tail].next = idx;
+        b.tail = idx;
+        ++near_;
+        return &pool_[idx].e;
+    }
 
     struct Later
     {

@@ -24,6 +24,7 @@
 
 #include <coroutine>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "arch/fpu.h"
@@ -133,20 +134,20 @@ enum class OpKind : u8
     SwTreeBarrier,
 };
 
-/** One awaited micro-operation. */
+/** One awaited micro-operation (fields ordered to pack, 56 bytes). */
 struct MicroOp
 {
-    OpKind kind = OpKind::Alu;
-    Addr ea = 0;
-    u8 bytes = 8;
     u64 value = 0;      ///< store data / atomic operand / CAS desired
     u64 expect = 0;     ///< CAS expected value
-    arch::FpuOp fpu = arch::FpuOp::Add;
-    u32 count = 1;      ///< ALU op count / hardware barrier id
-    bool indep = false; ///< no dependence on the current chain
     u64 result = 0;     ///< load / atomic result (filled on completion)
     CentralBarrier *central = nullptr;
     TreeBarrier *tree = nullptr;
+    Addr ea = 0;
+    u32 count = 1;      ///< ALU op count / hardware barrier id
+    OpKind kind = OpKind::Alu;
+    u8 bytes = 8;
+    arch::FpuOp fpu = arch::FpuOp::Add;
+    bool indep = false; ///< no dependence on the current chain
 
     static MicroOp
     load(Addr ea, u8 bytes = 8, bool indep = false)
@@ -200,12 +201,20 @@ class OpAwait
     {
         ops_ = {&single_, 1};
     }
+    /** One micro-op built in place by @p make (the hot ops: no copy). */
+    template <class Make>
+        requires std::is_invocable_r_v<MicroOp, Make>
+    OpAwait(GuestUnit &unit, Make make)
+        : unit_(unit), single_(make()), ops_(&single_, 1)
+    {}
     OpAwait(GuestUnit &unit, std::span<MicroOp> ops)
         : unit_(unit), ops_(ops)
     {}
 
     bool await_ready() const noexcept { return ops_.empty(); }
-    void await_suspend(std::coroutine_handle<> self) noexcept;
+    // Defined in exec/guest_unit.h, which every guest program includes
+    // (through exec/engine.h): hands the ops to the unit, no call.
+    inline void await_suspend(std::coroutine_handle<> self) noexcept;
     u64 await_resume() const noexcept { return ops_[0].result; }
 
   private:
@@ -231,13 +240,13 @@ class GuestCtx
     /** Load @p bytes at @p ea; resumes with the (zero-extended) value. */
     OpAwait load(Addr ea, u8 bytes = 8) const
     {
-        return {unit_, MicroOp::load(ea, bytes)};
+        return {unit_, [&] { return MicroOp::load(ea, bytes); }};
     }
 
     /** Store @p value. */
     OpAwait store(Addr ea, u64 value, u8 bytes = 8) const
     {
-        return {unit_, MicroOp::store(ea, value, bytes)};
+        return {unit_, [&] { return MicroOp::store(ea, value, bytes); }};
     }
 
     /** Atomic fetch-and-add on a 32-bit word; resumes with the old value. */
@@ -291,16 +300,18 @@ class GuestCtx
     OpAwait
     alu(u32 n = 1, bool indep = false) const
     {
-        return {unit_, MicroOp::alu(n, indep)};
+        return {unit_, [&] { return MicroOp::alu(n, indep); }};
     }
 
     /** Loop/branch overhead: one 2-cycle branch. */
     OpAwait
     branch() const
     {
-        MicroOp op;
-        op.kind = OpKind::Branch;
-        return {unit_, op};
+        return {unit_, [] {
+                    MicroOp op;
+                    op.kind = OpKind::Branch;
+                    return op;
+                }};
     }
 
     /** Drain all outstanding memory operations. */

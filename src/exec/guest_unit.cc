@@ -16,12 +16,6 @@ GuestTask::promise_type::unhandled_exception()
     panic("unhandled exception escaped a guest coroutine");
 }
 
-void
-OpAwait::await_suspend(std::coroutine_handle<> self) noexcept
-{
-    unit_.post(ops_, self);
-}
-
 GuestUnit::GuestUnit(ThreadId tid, arch::Chip &chip, u32 softIdx)
     : Unit(tid),
       chip_(chip),
@@ -53,33 +47,19 @@ GuestUnit::armHwBarriers()
 }
 
 void
-GuestUnit::post(std::span<MicroOp> ops, std::coroutine_handle<> self)
+GuestUnit::postTwice()
 {
-    if (pending_)
-        panic("guest posted a micro-op while one is in flight");
-    ops_ = ops;
-    opIdx_ = 0;
-    pending_ = !ops.empty();
-    current_ = self;
+    panic("guest posted a micro-op while one is in flight");
 }
 
-MemTiming
+[[gnu::always_inline]] inline MemTiming
 GuestUnit::issueMem(Cycle now, MemKind kind, Addr ea, u8 bytes,
                     u64 *inout)
 {
     const arch::MemRef ref = chip_.decodeMem(ea, bytes, tid_);
-    switch (kind) {
-      case MemKind::Load:
-      case MemKind::Prefetch:
-        *inout = chip_.load(ref, tid_);
-        break;
-      case MemKind::Store:
-        chip_.store(ref, *inout, tid_);
-        break;
-      case MemKind::Atomic:
-        break; // caller performs the read-modify-write
-    }
-    MemTiming t = chip_.dmem(now, tid_, ref, kind);
+    const MemTiming t = kind == MemKind::Store
+                            ? chip_.storeTimed(now, tid_, ref, *inout)
+                            : chip_.loadTimed(now, tid_, ref, inout);
     noteDmem(t.hit);
     return t;
 }
@@ -87,10 +67,87 @@ GuestUnit::issueMem(Cycle now, MemKind kind, Addr ea, u8 bytes,
 MemTiming
 GuestUnit::fetchAdd(Cycle now, Addr ea, u32 *old)
 {
-    const arch::MemRef ref = chip_.decodeMem(ea, 4, tid_);
-    *old = u32(chip_.load(ref, tid_));
-    chip_.store(ref, *old + 1, tid_);
+    const arch::MemRef ref = chip_.decodeAtomic(ea, tid_);
+    *old = u32(arch::Chip::load(ref));
+    arch::Chip::store(ref, *old + 1);
     return chip_.dmem(now, tid_, ref, MemKind::Atomic);
+}
+
+[[gnu::always_inline]] inline bool
+GuestUnit::waitMemSlot(Cycle now, StepResult *wait)
+{
+    if (!mem_.full(now))
+        return false;
+    const Cycle wake = mem_.earliest();
+    accountWait(now, wake,
+                mem_.earliestFabric() ? CycleCat::RemoteWait
+                                      : CycleCat::DcacheMiss);
+    *wait = {false, wake};
+    return true;
+}
+
+// The common micro-ops, inlined into tick(); the rest go to stepOther().
+[[gnu::always_inline]] inline GuestUnit::StepResult
+GuestUnit::step(Cycle now, MicroOp &op)
+{
+    // Dependence on the current chain (in-order issue of dependent code).
+    const bool needsChain = !op.indep && op.kind != OpKind::Sync;
+    if (needsChain && chainReady_ > now) {
+        accountMemWait(now, chainReady_, chainCat_, chainQueue_);
+        chainQueue_ = 0; // the queueing share is charged once
+        return {false, chainReady_};
+    }
+
+    switch (op.kind) {
+      case OpKind::Alu: {
+        noteProgress();
+        // A zero-count op still occupies the one cycle its tick takes.
+        accountIssue(now, std::max<u32>(op.count, 1));
+        // Independent ALU work (loop overhead) does not produce a
+        // value the chain waits on; dependent ALU work replaces it.
+        if (!op.indep)
+            chainReady_ = now + op.count;
+        return {true, now + op.count};
+      }
+
+      case OpKind::Branch: {
+        const u32 exec = chip_.config().lat.branchExec;
+        accountIssue(now, exec);
+        return {true, now + exec};
+      }
+
+      case OpKind::Load: {
+        StepResult wait;
+        if (waitMemSlot(now, &wait))
+            return wait;
+        MemTiming t = issueMem(now, MemKind::Load, op.ea, op.bytes,
+                               &op.result);
+        // Polling semantics: re-reading an unchanged location is not
+        // forward progress; streaming reads (changing ea) are.
+        notePoll(0, op.ea, op.result);
+        mem_.add(t.ready, t.fabric);
+        setChain(t.ready,
+                 t.fabric ? CycleCat::RemoteWait : CycleCat::DcacheMiss,
+                 t.queueWait);
+        accountIssue(now, 1);
+        return {true, now + 1};
+      }
+
+      case OpKind::Store: {
+        StepResult wait;
+        if (waitMemSlot(now, &wait))
+            return wait;
+        noteProgress();
+        MemTiming t = issueMem(now, MemKind::Store, op.ea, op.bytes,
+                               &op.value);
+        mem_.add(t.ready, t.fabric);
+        accountIssue(now, 1);
+        return {true, now + 1};
+      }
+
+      default:
+        return stepOther(now, op);
+    }
 }
 
 Cycle
@@ -137,35 +194,9 @@ GuestUnit::tick(Cycle now)
 }
 
 GuestUnit::StepResult
-GuestUnit::step(Cycle now, MicroOp &op)
+GuestUnit::stepOther(Cycle now, MicroOp &op)
 {
-    const LatencyConfig &lat = chip_.config().lat;
-
-    // Dependence on the current chain (in-order issue of dependent code).
-    const bool needsChain = !op.indep && op.kind != OpKind::Sync;
-    if (needsChain && chainReady_ > now) {
-        accountMemWait(now, chainReady_, chainCat_, chainQueue_);
-        chainQueue_ = 0; // the queueing share is charged once
-        return {false, chainReady_};
-    }
-
     switch (op.kind) {
-      case OpKind::Alu: {
-        noteProgress();
-        // A zero-count op still occupies the one cycle its tick takes.
-        accountIssue(now, std::max<u32>(op.count, 1));
-        // Independent ALU work (loop overhead) does not produce a
-        // value the chain waits on; dependent ALU work replaces it.
-        if (!op.indep)
-            chainReady_ = now + op.count;
-        return {true, now + op.count};
-      }
-
-      case OpKind::Branch: {
-        accountIssue(now, lat.branchExec);
-        return {true, now + lat.branchExec};
-      }
-
       case OpKind::Fpu: {
         Cycle resultAt = 0;
         if (!chip_.fpuOf(tid_).dispatch(now, op.fpu, &resultAt)) {
@@ -178,58 +209,14 @@ GuestUnit::step(Cycle now, MicroOp &op)
         return {true, now + 1};
       }
 
-      case OpKind::Load: {
-        mem_.prune(now);
-        if (mem_.full()) {
-            const Cycle wake = mem_.earliest();
-            accountWait(now, wake,
-                        mem_.earliestFabric() ? CycleCat::RemoteWait
-                                              : CycleCat::DcacheMiss);
-            return {false, wake};
-        }
-        MemTiming t = issueMem(now, MemKind::Load, op.ea, op.bytes,
-                               &op.result);
-        // Polling semantics: re-reading an unchanged location is not
-        // forward progress; streaming reads (changing ea) are.
-        notePoll(0, op.ea, op.result);
-        mem_.add(t.ready, t.fabric);
-        setChain(t.ready,
-                 t.fabric ? CycleCat::RemoteWait : CycleCat::DcacheMiss,
-                 t.queueWait);
-        accountIssue(now, 1);
-        return {true, now + 1};
-      }
-
-      case OpKind::Store: {
-        mem_.prune(now);
-        if (mem_.full()) {
-            const Cycle wake = mem_.earliest();
-            accountWait(now, wake,
-                        mem_.earliestFabric() ? CycleCat::RemoteWait
-                                              : CycleCat::DcacheMiss);
-            return {false, wake};
-        }
-        noteProgress();
-        MemTiming t = issueMem(now, MemKind::Store, op.ea, op.bytes,
-                               &op.value);
-        mem_.add(t.ready, t.fabric);
-        accountIssue(now, 1);
-        return {true, now + 1};
-      }
-
       case OpKind::AmoAdd:
       case OpKind::AmoSwap:
       case OpKind::AmoCas: {
-        mem_.prune(now);
-        if (mem_.full()) {
-            const Cycle wake = mem_.earliest();
-            accountWait(now, wake,
-                        mem_.earliestFabric() ? CycleCat::RemoteWait
-                                              : CycleCat::DcacheMiss);
-            return {false, wake};
-        }
-        const arch::MemRef ref = chip_.decodeMem(op.ea, 4, tid_);
-        const u32 old = u32(chip_.load(ref, tid_));
+        StepResult wait;
+        if (waitMemSlot(now, &wait))
+            return wait;
+        const arch::MemRef ref = chip_.decodeAtomic(op.ea, tid_);
+        const u32 old = u32(arch::Chip::load(ref));
         notePoll(0, op.ea, old);
         u32 fresh = old;
         bool doWrite = true;
@@ -240,7 +227,7 @@ GuestUnit::step(Cycle now, MicroOp &op)
         else
             doWrite = old == u32(op.expect), fresh = u32(op.value);
         if (doWrite)
-            chip_.store(ref, fresh, tid_);
+            arch::Chip::store(ref, fresh);
         MemTiming t = chip_.dmem(now, tid_, ref, MemKind::Atomic);
         noteDmem(t.hit);
         op.result = old;
@@ -277,6 +264,8 @@ GuestUnit::step(Cycle now, MicroOp &op)
         return stepCentral(now, op);
       case OpKind::SwTreeBarrier:
         return stepTree(now, op);
+      default:
+        break;
     }
     panic("unhandled micro-op kind");
 }

@@ -36,7 +36,16 @@ class GuestUnit : public arch::Unit
     void armHwBarriers();
 
     // Called by OpAwait::await_suspend.
-    void post(std::span<MicroOp> ops, std::coroutine_handle<> self);
+    void
+    post(std::span<MicroOp> ops, std::coroutine_handle<> self)
+    {
+        if (pending_) [[unlikely]]
+            postTwice();
+        ops_ = ops;
+        opIdx_ = 0;
+        pending_ = !ops.empty();
+        current_ = self;
+    }
 
   private:
     /** Outcome of stepping one micro-op at a given cycle. */
@@ -47,16 +56,22 @@ class GuestUnit : public arch::Unit
     };
 
     StepResult step(Cycle now, MicroOp &op);
+    StepResult stepOther(Cycle now, MicroOp &op);
     StepResult stepHwBarrier(Cycle now, MicroOp &op);
     StepResult stepCentral(Cycle now, MicroOp &op);
     StepResult stepTree(Cycle now, MicroOp &op);
 
-    /** Issue one data-memory access: functional + timing. */
+    /** Issue one data-memory load or store: functional + timing. */
     arch::MemTiming issueMem(Cycle now, arch::MemKind kind, Addr ea,
                              u8 bytes, u64 *inout);
 
     /** Atomic increment of the word at @p ea; *old gets its value. */
     arch::MemTiming fetchAdd(Cycle now, Addr ea, u32 *old);
+
+    /** Wait for a free outstanding-memory slot; false if one is free. */
+    bool waitMemSlot(Cycle now, StepResult *wait);
+
+    [[noreturn, gnu::cold]] static void postTwice();
 
     arch::Chip &chip_;
     u32 softIdx_;
@@ -99,6 +114,12 @@ class GuestUnit : public arch::Unit
     u64 barScratch_ = 0;
     Cycle barEnterAt_ = 0; ///< entry cycle, for the barrier trace span
 };
+
+inline void
+OpAwait::await_suspend(std::coroutine_handle<> self) noexcept
+{
+    unit_.post(ops_, self);
+}
 
 } // namespace cyclops::exec
 

@@ -74,15 +74,22 @@ Fabric::Fabric(const FabricConfig &cfg) : cfg_(cfg), topo_(cfg.net)
     if (cfg.reqHeaderBytes == 0 || cfg.respHeaderBytes == 0)
         fatal("fabric protocol headers must be nonzero");
     const u32 chips = cfg.net.numChips();
+    numChips_ = chips;
     linkFree_.assign(size_t(chips) * kNumDirs, 0);
-    pairMessages_.assign(size_t(chips) * chips, 0);
-    pairBytes_.assign(size_t(chips) * chips, 0);
-    pairFlits_.assign(size_t(chips) * chips, 0);
-    pairLinkFlits_.assign(size_t(chips) * chips, 0);
-    pairInOrder_.assign(size_t(chips) * chips, 0);
-    routeCache_.assign(size_t(chips) * chips, {});
-    routeKnown_.assign(size_t(chips) * chips, 0);
-    pairRerouted_.assign(size_t(chips) * chips, 0);
+    const Cycle perHop = cfg.net.routerLatency + cfg.net.linkLatency;
+    pairs_.resize(size_t(chips) * chips);
+    for (u32 src = 0; src < chips; ++src) {
+        for (u32 dst = 0; dst < chips; ++dst) {
+            Pair &p = pairs_[pairIndex(src, dst)];
+            p.hops = topo_.hops(src, dst);
+            p.wireBase = Cycle(p.hops) * perHop;
+        }
+    }
+    // One packet's serialization per size; larger messages divide.
+    const u32 lbpc = cfg.net.linkBytesPerCycle;
+    serCycles_.resize(std::min(cfg.net.maxPacketBytes, 4096u) + 1);
+    for (u32 b = 0; b < serCycles_.size(); ++b)
+        serCycles_[b] = (b + lbpc - 1) / lbpc;
     ledger_.assign(kLedgerCycles, {});
     stats_.addCounter("fabric.messages", &messages_);
     stats_.addCounter("fabric.bytes", &bytesMoved_);
@@ -196,45 +203,42 @@ Fabric::applyFaultMap()
             break;
         }
     }
-    const size_t pairs = size_t(chips) * chips;
-    routeCache_.assign(pairs, {});
-    routeKnown_.assign(pairs, 0);
-    pairRerouted_.assign(pairs, 0);
+    for (Pair &p : pairs_) {
+        p.links.clear();
+        p.known = false;
+        p.rerouted = false;
+    }
     faultsActive_ = true;
     faultsArmed_ = false;
 }
 
 /**
- * Route for a pair, cached: the DOR path when it crosses no dead link
+ * Resolve a pair's route: the DOR path when it crosses no dead link
  * (always, while no fault map is active), else the relaxed-dimension-
- * order minimal path, else the breadth-first detour. An empty cached
- * path means the destination is unreachable (partition).
+ * order minimal path, else the breadth-first detour. An empty route
+ * means the destination is unreachable (partition).
  */
-const std::vector<std::pair<u32, Dir>> &
-Fabric::routeFor(u32 src, u32 dst)
+void
+Fabric::resolveRoute(Pair &pair, u32 src, u32 dst)
 {
-    const size_t pi = pairIndex(src, dst);
-    if (!routeKnown_[pi]) {
-        routeKnown_[pi] = 1;
-        auto dor = topo_.route(src, dst);
-        bool blocked = false;
-        for (const auto &[chip, dir] : dor) {
-            if (faultsActive_ && deadLink_[linkIndex(chip, dir)]) {
-                blocked = true;
-                break;
-            }
-        }
-        if (!blocked) {
-            routeCache_[pi] = std::move(dor);
-        } else {
-            pairRerouted_[pi] = 1;
-            auto alt = topo_.routeAdaptive(src, dst, deadLink_);
-            if (alt.empty())
-                alt = topo_.routeDetour(src, dst, deadLink_);
-            routeCache_[pi] = std::move(alt);
+    pair.known = true;
+    auto path = topo_.route(src, dst);
+    bool blocked = false;
+    for (const auto &[chip, dir] : path) {
+        if (faultsActive_ && deadLink_[linkIndex(chip, dir)]) {
+            blocked = true;
+            break;
         }
     }
-    return routeCache_[pi];
+    if (blocked) {
+        pair.rerouted = true;
+        path = topo_.routeAdaptive(src, dst, deadLink_);
+        if (path.empty())
+            path = topo_.routeDetour(src, dst, deadLink_);
+    }
+    pair.links.clear();
+    for (const auto &[chip, dir] : path)
+        pair.links.push_back(linkIndex(chip, dir));
 }
 
 bool
@@ -266,7 +270,7 @@ Fabric::backoff(u32 attempt) const
  * untouched — only the attempt is recorded.
  */
 Delivery
-Fabric::injectUnroutable(Cycle now, u32 src, u32 dst)
+Fabric::injectUnroutable(Cycle now)
 {
     ++unroutable_;
     retries_ += cfg_.maxRetries;
@@ -281,29 +285,31 @@ Fabric::injectUnroutable(Cycle now, u32 src, u32 dst)
     return d;
 }
 
+template <bool kFaults>
 u64
-Fabric::transmit(Cycle start,
-                 const std::vector<std::pair<u32, Dir>> &path, u32 bytes,
+Fabric::transmit(Cycle start, const std::vector<u32> &path, u32 bytes,
                  u64 flow, Cycle *accepted, Cycle *delivered,
                  bool *corrupt, bool *escaped)
 {
     // Identical to Topology::send so the zero-load latency matches
     // uncontendedLatency() exactly; additionally tracks the first-link
     // drain time (backpressure) and the flit ledger. Every fault-map
-    // lookup is guarded by faultsActive_, and all degradation factors
-    // are identities when the map is empty, so the healthy fabric's
-    // arithmetic is bit-for-bit unchanged.
+    // lookup is compiled in only with kFaults, and all degradation
+    // factors are identities when the map is empty, so the healthy
+    // fabric's arithmetic is bit-for-bit unchanged.
     const Cycle perHop = cfg_.net.routerLatency + cfg_.net.linkLatency;
-    const u32 lbpc = cfg_.net.linkBytesPerCycle;
+    const u32 maxPacket = cfg_.net.maxPacketBytes;
     const bool tracing = tracer_ && tracer_->on(TraceCat::Net);
+    const u32 *const hopLinks = path.data();
+    const size_t hops = path.size();
 
     u64 flits = 0;
     u32 remaining = bytes;
     Cycle packetStart = start;
     bool firstPacket = true;
     while (remaining > 0) {
-        const u32 packet = std::min(remaining, cfg_.net.maxPacketBytes);
-        const Cycle serialization = (packet + lbpc - 1) / lbpc;
+        const u32 packet = remaining < maxPacket ? remaining : maxPacket;
+        const Cycle serialization = this->serialization(packet);
         flits += serialization;
         // Cut-through: the header advances one hop per (router+link);
         // each traversed link is occupied for the serialization time
@@ -312,29 +318,15 @@ Fabric::transmit(Cycle start,
         Cycle headArrives = packetStart;
         Cycle firstOcc = serialization;
         Cycle tailOcc = serialization;
-        bool firstLink = true;
-        for (size_t hop = 0; hop < path.size(); ++hop) {
-            const auto &[chip, dir] = path[hop];
-            const u32 idx = linkIndex(chip, dir);
-            const Cycle occupancy = faultsActive_
-                ? serialization * derate_[idx]
-                : serialization;
-            Cycle &freeAt = linkFree_[idx];
-            const Cycle xmit = std::max(headArrives, freeAt);
+        for (size_t hop = 0; hop < hops; ++hop) {
+            const u32 idx = hopLinks[hop];
+            const Cycle occupancy =
+                kFaults ? serialization * derate_[idx] : serialization;
+            const Cycle xmit =
+                reserveLink(idx, headArrives, serialization, occupancy);
+            const Cycle freeAt = xmit + occupancy;
             const Cycle stall = xmit - headArrives;
-            queueCycles_ += stall;
-            freeAt = xmit + occupancy;
-
-            Link &link = links_[idx];
-            link.flits += serialization;
-            link.busyCycles += occupancy;
-            link.stallCycles += stall;
-            link.occFlitCycles += stall * serialization;
-            // Ingress backlog this packet observed: everything queued
-            // ahead of it plus itself.
-            link.occPeak = std::max(link.occPeak,
-                                    u64(stall + occupancy));
-            if (faultsActive_ && flakyPpm_[idx] != 0) {
+            if (kFaults && flakyPpm_[idx] != 0) {
                 bool esc = false;
                 if (drawCorrupt(idx, &esc)) {
                     *corrupt = true;
@@ -342,24 +334,14 @@ Fabric::transmit(Cycle start,
                         *escaped = true;
                 }
             }
-            if (tracing) {
-                tracer_->complete(TraceCat::Net, link.track, "pkt",
-                                  xmit, occupancy, flow);
-                tracer_->counter(TraceCat::Net, link.track,
-                                 occTrackNames_[link.track].c_str(),
-                                 xmit, stall + occupancy);
-                if (firstPacket && firstLink)
-                    tracer_->flowBegin(TraceCat::Net, link.track,
-                                       "msg", xmit, flow);
-                if (remaining == packet && hop + 1 == path.size())
-                    tracer_->flowEnd(TraceCat::Net, link.track, "msg",
-                                     freeAt, flow);
-            }
+            if (tracing) [[unlikely]]
+                traceHop(links_[idx], xmit, occupancy, stall, flow,
+                         firstPacket && hop == 0,
+                         remaining == packet && hop + 1 == hops);
 
-            if (firstLink) {
+            if (hop == 0) {
                 *accepted = freeAt;
                 firstOcc = occupancy;
-                firstLink = false;
             }
             tailOcc = occupancy;
             headArrives = xmit + perHop;
@@ -373,39 +355,67 @@ Fabric::transmit(Cycle start,
     return flits;
 }
 
+/** The "net" trace records of one packet crossing one link. */
 void
-Fabric::addInFlight(Cycle at, u64 flits, bool dropped)
+Fabric::traceHop(const Link &link, Cycle xmit, Cycle occupancy,
+                 Cycle stall, u64 flow, bool first, bool last)
 {
-    // A cycle behind the base wraps to a huge distance: far.
-    if (at - ledgerBase_ < kLedgerCycles) {
-        LedgerSlot &slot = ledger_[at & (kLedgerCycles - 1)];
-        (dropped ? slot.dropped : slot.delivered) += flits;
-        ledgerFlits_ += flits;
-    } else {
-        farFlights_.push({at, flits, dropped});
-    }
+    tracer_->complete(TraceCat::Net, link.track, "pkt", xmit, occupancy,
+                      flow);
+    tracer_->counter(TraceCat::Net, link.track,
+                     occTrackNames_[link.track].c_str(), xmit,
+                     stall + occupancy);
+    if (first)
+        tracer_->flowBegin(TraceCat::Net, link.track, "msg", xmit, flow);
+    if (last)
+        tracer_->flowEnd(TraceCat::Net, link.track, "msg", xmit + occupancy,
+                         flow);
 }
 
-Delivery
-Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
+void
+Fabric::badInject(u32 src, u32 dst) const
 {
-    if (src >= cfg_.net.numChips() || dst >= cfg_.net.numChips())
+    if (src >= numChips_ || dst >= numChips_)
         fatal("fabric endpoints outside the system");
     if (src == dst)
         fatal("fabric cannot route a self-addressed message");
-    if (bytes == 0)
-        fatal("cannot inject an empty message");
-    const size_t pi = pairIndex(src, dst);
-    ++messages_;
-    bytesMoved_ += bytes;
-    pairMessages_[pi] += 1;
-    pairBytes_[pi] += bytes;
+    fatal("cannot inject an empty message");
+}
 
-    const u64 flow = msgSeq_++;
-    const std::vector<std::pair<u32, Dir>> &path = routeFor(src, dst);
+/**
+ * inject() past its inline case: the pair's first message, an active
+ * fault map, a multi-packet message or "net" tracing.
+ */
+Delivery
+Fabric::injectSlow(Cycle now, Pair &p, u32 src, u32 dst, u32 bytes,
+                   u64 flow)
+{
+    if (!p.known)
+        resolveRoute(p, src, dst);
+    if (faultsActive_)
+        return injectFaulty(now, p, bytes, flow);
+    // The healthy fabric: one attempt over the DOR route, delivered in
+    // injection order per link.
+    Delivery d{now, now};
+    const u64 flits = transmit<false>(now, p.links, bytes, flow,
+                                      &d.accepted, &d.delivered, nullptr,
+                                      nullptr);
+    deliverHealthy(now, p, bytes, flits, d.delivered);
+    return d;
+}
+
+/**
+ * inject() under an active fault map: the route may detour or be
+ * missing, and each attempt may be corrupted, NACKed and retransmitted
+ * with backoff. The receiver's reorder buffer keeps the pair FIFO.
+ */
+Delivery
+Fabric::injectFaulty(Cycle now, Pair &p, u32 bytes, u64 flow)
+{
+    const std::vector<u32> &path = p.links;
     if (path.empty())
-        return injectUnroutable(now, src, dst);
-    if (pairRerouted_[pi])
+        return injectUnroutable(now);
+    if (p.rerouted)
         ++rerouted_;
 
     const Cycle perHop = cfg_.net.routerLatency + cfg_.net.linkLatency;
@@ -417,14 +427,14 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
         bool escaped = false;
         Cycle accepted = attemptStart;
         Cycle delivered = attemptStart;
-        const u64 flits = transmit(attemptStart, path, bytes, flow,
-                                   &accepted, &delivered, &corrupt,
-                                   &escaped);
+        const u64 flits = transmit<true>(attemptStart, path, bytes, flow,
+                                         &accepted, &delivered, &corrupt,
+                                         &escaped);
         flitsInjected_ += flits;
         flitsInjectedStat_ += flits;
         flitsInFlight_ += flits;
-        pairFlits_[pi] += flits;
-        pairLinkFlits_[pi] += flits * path.size();
+        p.flits += flits;
+        p.linkFlits += flits * path.size();
         if (attempt == 0)
             d.accepted = accepted;
         d.retries = attempt;
@@ -434,9 +444,8 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
             // releases messages in sequence order, so a pair's
             // deliveries stay FIFO even when a retransmitted earlier
             // message finishes its traversal late.
-            if (faultsActive_)
-                delivered = std::max(delivered, pairInOrder_[pi]);
-            pairInOrder_[pi] = std::max(pairInOrder_[pi], delivered);
+            delivered = std::max(delivered, p.inOrder);
+            p.inOrder = delivered;
             addInFlight(delivered, flits, false);
             d.delivered = delivered;
             d.corrupted = corrupt && escaped;
@@ -462,18 +471,17 @@ Fabric::inject(Cycle now, u32 src, u32 dst, u32 bytes)
 
     if (d.ok) {
         latencyTotal_.sample(d.delivered - now);
-        const Cycle wire = topo_.uncontendedLatency(src, dst, bytes);
+        const Cycle wire = p.wireBase + serialization(bytes);
         latencyWire_.sample(wire);
         latencyQueue_.sample((d.delivered - now) - wire);
     }
     return d;
 }
 
+/** Retire the flits due at or before @p at, then check the ledger. */
 void
-Fabric::advance(Cycle at)
+Fabric::retire(Cycle at)
 {
-    if (faultsArmed_ && at != kCycleNever && at >= cfg_.faults.atCycle)
-        applyFaultMap();
     u64 delivered = 0;
     u64 dropped = 0;
     while (!farFlights_.empty() && farFlights_.top().at <= at) {
@@ -484,14 +492,16 @@ Fabric::advance(Cycle at)
     if (at >= ledgerBase_) {
         const Cycle span = at - ledgerBase_;
         const Cycle n = span >= kLedgerCycles ? kLedgerCycles : span + 1;
-        for (Cycle i = 0; i < n && ledgerFlits_ != 0; ++i) {
-            LedgerSlot &slot =
-                ledger_[(ledgerBase_ + i) & (kLedgerCycles - 1)];
+        LedgerSlot *const ring = ledger_.data();
+        u64 held = ledgerFlits_;
+        for (Cycle i = 0; i < n && held != 0; ++i) {
+            LedgerSlot &slot = ring[(ledgerBase_ + i) & (kLedgerCycles - 1)];
             delivered += slot.delivered;
             dropped += slot.dropped;
-            ledgerFlits_ -= slot.delivered + slot.dropped;
+            held -= slot.delivered + slot.dropped;
             slot = {};
         }
+        ledgerFlits_ = held;
         // A drain leaves the base where it is: the ring is empty, and
         // at + 1 would wrap.
         if (at != kCycleNever)
@@ -502,10 +512,6 @@ Fabric::advance(Cycle at)
     flitsDeliveredStat_ += delivered;
     flitsDropped_ += dropped;
     flitsDroppedStat_ += dropped;
-    // Anchor for the occupancy gauges: backlog is whatever work each
-    // link still holds beyond the cycle the system has advanced to.
-    if (at != kCycleNever)
-        lastAdvance_ = std::max(lastAdvance_, at);
     checkConservation(at);
 }
 

@@ -51,6 +51,7 @@
 #ifndef CYCLOPS_NET_FABRIC_H
 #define CYCLOPS_NET_FABRIC_H
 
+#include <algorithm>
 #include <queue>
 #include <string>
 #include <vector>
@@ -186,8 +187,41 @@ class Fabric
      * (accepted: when the source's first link drains) and the delivery
      * cycle. Self-addressed messages and bad endpoints are fatal; the
      * System layer converts them to guest errors first.
+     *
+     * Inline for the common case, a one-packet message on the healthy
+     * fabric with no "net" tracing: transmit()'s arithmetic for one
+     * packet with no fault factors. Everything else goes to
+     * injectSlow().
      */
-    Delivery inject(Cycle now, u32 src, u32 dst, u32 bytes);
+    [[gnu::always_inline]] Delivery
+    inject(Cycle now, u32 src, u32 dst, u32 bytes)
+    {
+        if (src >= numChips_ || dst >= numChips_ || src == dst ||
+            bytes == 0) [[unlikely]]
+            badInject(src, dst);
+        Pair &p = pairs_[pairIndex(src, dst)];
+        ++messages_;
+        bytesMoved_ += bytes;
+        ++p.messages;
+        p.bytes += bytes;
+        const u64 flow = msgSeq_++;
+        if (!p.known || faultsActive_ || bytes > cfg_.net.maxPacketBytes ||
+            (tracer_ && tracer_->on(TraceCat::Net))) [[unlikely]]
+            return injectSlow(now, p, src, dst, bytes, flow);
+
+        const Cycle ser = serialization(bytes);
+        const Cycle perHop = cfg_.net.routerLatency + cfg_.net.linkLatency;
+        const u32 *hop = p.links.data();
+        const u32 *const last = hop + p.links.size();
+        Delivery d;
+        Cycle head = reserveLink(*hop, now, ser, ser);
+        d.accepted = head + ser;
+        for (++hop; hop != last; ++hop)
+            head = reserveLink(*hop, head + perHop, ser, ser);
+        d.delivered = head + perHop + ser;
+        deliverHealthy(now, p, bytes, ser, d.delivered);
+        return d;
+    }
 
     /**
      * Retire in-flight flits delivered at or before cycle @p at, then
@@ -197,7 +231,24 @@ class Fabric
      * at >= atCycle — epoch boundaries are a pure function of the
      * program, so the application point is deterministic.
      */
-    void advance(Cycle at);
+    void
+    advance(Cycle at)
+    {
+        if (faultsArmed_ && at != kCycleNever && at >= cfg_.faults.atCycle)
+            applyFaultMap();
+        if (flitsInFlight_ != 0) {
+            retire(at);
+        } else if (at >= ledgerBase_ && at != kCycleNever) {
+            // Nothing in flight: the ring and the far heap are empty,
+            // and the ledger holds as it did at the last check.
+            ledgerBase_ = at + 1;
+        }
+        // Anchor for the occupancy gauges: backlog is whatever work
+        // each link still holds beyond the cycle the system has
+        // advanced to.
+        if (at != kCycleNever)
+            lastAdvance_ = std::max(lastAdvance_, at);
+    }
 
     /** Retire all in-flight flits (end of simulation). */
     void drain();
@@ -243,15 +294,15 @@ class Fabric
     // Per-(src, dst) chip-pair traffic matrices.
     u64 pairMessages(u32 src, u32 dst) const
     {
-        return pairMessages_[pairIndex(src, dst)];
+        return pairs_[pairIndex(src, dst)].messages;
     }
     u64 pairBytes(u32 src, u32 dst) const
     {
-        return pairBytes_[pairIndex(src, dst)];
+        return pairs_[pairIndex(src, dst)].bytes;
     }
     u64 pairFlits(u32 src, u32 dst) const
     {
-        return pairFlits_[pairIndex(src, dst)];
+        return pairs_[pairIndex(src, dst)].flits;
     }
 
     /**
@@ -262,7 +313,34 @@ class Fabric
      */
     u64 pairLinkFlits(u32 src, u32 dst) const
     {
-        return pairLinkFlits_[pairIndex(src, dst)];
+        return pairs_[pairIndex(src, dst)].linkFlits;
+    }
+
+    /** Dimension-order hop count of the pair (Topology::hops), cached. */
+    u32 pairHops(u32 src, u32 dst) const
+    {
+        return pairs_[pairIndex(src, dst)].hops;
+    }
+
+    /** Cycles a linkBytesPerCycle link needs to carry @p bytes. */
+    Cycle
+    serialization(u32 bytes) const
+    {
+        return bytes < serCycles_.size()
+                   ? serCycles_[bytes]
+                   : (Cycle(bytes) + cfg_.net.linkBytesPerCycle - 1) /
+                         cfg_.net.linkBytesPerCycle;
+    }
+
+    /**
+     * Zero-load latency of a @p bytes message between two distinct
+     * chips, from the cached hop count: equals
+     * Topology::uncontendedLatency(src, dst, bytes).
+     */
+    Cycle
+    wireLatency(u32 src, u32 dst, u32 bytes) const
+    {
+        return pairs_[pairIndex(src, dst)].wireBase + serialization(bytes);
     }
 
     // Packet-latency split: total == queue + wire, sample for sample.
@@ -280,33 +358,133 @@ class Fabric
     StatGroup &stats() { return stats_; }
 
   private:
+    /**
+     * Everything inject() touches for one (src, dst) pair, in one
+     * record: the route as link indices, the dimension-order hop count
+     * and zero-load wire time, the traffic matrices and the in-order
+     * release clamp.
+     *
+     * The route is used with and without a fault map: a pure function
+     * of (topology, fault map), resolved on first use and again after
+     * a fault map is applied. The clamp models the receiver's
+     * sequence-number reorder buffer: retransmitted messages may
+     * finish traversal out of order, but are released in sequence
+     * order, so per-pair FIFO delivery — which arch::System's
+     * payload-before-flag protocol relies on — survives faults.
+     */
+    struct Pair
+    {
+        std::vector<u32> links; ///< route as linkIndex()es; empty: unreachable
+        bool known = false;     ///< links resolved for the current fault map
+        bool rerouted = false;  ///< links detour around a dead link
+        u32 hops = 0;           ///< Topology::hops (dimension order)
+        Cycle wireBase = 0;     ///< hops x (routerLatency + linkLatency)
+        Cycle inOrder = 0;      ///< reorder-buffer release clamp
+        u64 messages = 0;
+        u64 bytes = 0;
+        u64 flits = 0;
+        u64 linkFlits = 0; ///< attempts x hops of the path taken
+    };
+
     u32 linkIndex(u32 chip, Dir dir) const;
     size_t pairIndex(u32 src, u32 dst) const
     {
-        return size_t(src) * cfg_.net.numChips() + dst;
+        return size_t(src) * numChips_ + dst;
+    }
+
+    [[noreturn, gnu::cold]] void badInject(u32 src, u32 dst) const;
+    Delivery injectSlow(Cycle now, Pair &p, u32 src, u32 dst, u32 bytes,
+                        u64 flow);
+
+    /**
+     * Reserve link @p idx for a packet whose header reaches it at
+     * @p head and holds it @p occupancy cycles (@p serialization
+     * flits): queue behind earlier traffic and record the link's
+     * telemetry. Returns the cycle the packet starts crossing.
+     */
+    [[gnu::always_inline]] Cycle
+    reserveLink(u32 idx, Cycle head, Cycle serialization, Cycle occupancy)
+    {
+        Cycle &freeAt = linkFree_[idx];
+        const Cycle xmit = std::max(head, freeAt);
+        const Cycle stall = xmit - head;
+        queueCycles_ += stall;
+        freeAt = xmit + occupancy;
+
+        Link &link = links_[idx];
+        link.flits += serialization;
+        link.busyCycles += occupancy;
+        link.stallCycles += stall;
+        link.occFlitCycles += stall * serialization;
+        // Ingress backlog this packet observed: everything queued ahead
+        // of it plus itself.
+        link.occPeak = std::max(link.occPeak, u64(stall + occupancy));
+        return xmit;
+    }
+
+    /**
+     * The ledgers of a message the healthy fabric delivers at
+     * @p delivered in @p flits flits: flit counts, the pair matrices
+     * and release clamp, the in-flight ledger and the latency split.
+     */
+    [[gnu::always_inline]] void
+    deliverHealthy(Cycle now, Pair &p, u32 bytes, u64 flits,
+                   Cycle delivered)
+    {
+        flitsInjected_ += flits;
+        flitsInjectedStat_ += flits;
+        flitsInFlight_ += flits;
+        p.flits += flits;
+        p.linkFlits += flits * p.links.size();
+        p.inOrder = std::max(p.inOrder, delivered);
+        addInFlight(delivered, flits, false);
+        const Cycle total = delivered - now;
+        const Cycle wire = p.wireBase + serialization(bytes);
+        latencyTotal_.sample(total);
+        latencyWire_.sample(wire);
+        latencyQueue_.sample(total - wire);
     }
     void registerLinkStats();
     void checkConservation(Cycle at) const;
     void applyFaultMap();
-    const std::vector<std::pair<u32, Dir>> &routeFor(u32 src, u32 dst);
-    void addInFlight(Cycle at, u64 flits, bool dropped);
-    Delivery injectUnroutable(Cycle now, u32 src, u32 dst);
+    void resolveRoute(Pair &pair, u32 src, u32 dst);
+    void
+    addInFlight(Cycle at, u64 flits, bool dropped)
+    {
+        // A cycle behind the base wraps to a huge distance: far.
+        if (at - ledgerBase_ < kLedgerCycles) [[likely]] {
+            LedgerSlot &slot = ledger_[at & (kLedgerCycles - 1)];
+            (dropped ? slot.dropped : slot.delivered) += flits;
+            ledgerFlits_ += flits;
+        } else {
+            farFlights_.push({at, flits, dropped});
+        }
+    }
+    void retire(Cycle at);
+    Delivery injectFaulty(Cycle now, Pair &pair, u32 bytes, u64 flow);
+    Delivery injectUnroutable(Cycle now);
+    [[gnu::noinline]] void traceHop(const Link &link, Cycle xmit,
+                                    Cycle occupancy, Cycle stall, u64 flow,
+                                    bool first, bool last);
     bool drawCorrupt(u32 linkIdx, bool *escaped);
     Cycle backoff(u32 attempt) const;
 
     /**
      * Reserve the links of @p path for one transmission attempt of
      * @p bytes starting at @p start. Returns the flit count; fills
-     * accepted/delivered and, when the fault map is active, the
-     * corruption outcome of this attempt. With an empty fault map the
+     * accepted/delivered and, with kFaults (the fault map is active),
+     * the corruption outcome of this attempt. Without kFaults the
      * arithmetic is byte-for-byte the fault-free fabric's.
      */
-    u64 transmit(Cycle start, const std::vector<std::pair<u32, Dir>> &path,
-                 u32 bytes, u64 flow, Cycle *accepted, Cycle *delivered,
+    template <bool kFaults>
+    u64 transmit(Cycle start, const std::vector<u32> &path, u32 bytes,
+                 u64 flow, Cycle *accepted, Cycle *delivered,
                  bool *corrupt, bool *escaped);
 
     FabricConfig cfg_;
     Topology topo_;
+    u32 numChips_ = 0;
+    std::vector<Cycle> serCycles_; ///< serialization() of 0..maxPacketBytes
     std::vector<Cycle> linkFree_; ///< chip x direction reservation
 
     // In-flight flits for advance()/drain(), by the cycle they retire.
@@ -344,10 +522,7 @@ class Fabric
     u32 numLinks_ = 0;
     std::vector<std::string> trackNames_;   ///< by Link::track
     std::vector<std::string> occTrackNames_; ///< counter-track names
-    std::vector<u64> pairMessages_;
-    std::vector<u64> pairBytes_;
-    std::vector<u64> pairFlits_;
-    std::vector<u64> pairLinkFlits_; ///< attempts x hops, per pair
+    std::vector<Pair> pairs_; ///< by pairIndex(src, dst)
 
     // Fault state, all indexed by linkIndex(chip, dir). Inactive
     // (faultsActive_ == false) leaves the hot inject path untouched.
@@ -358,20 +533,6 @@ class Fabric
     std::vector<u32> escapePpm_;
     std::vector<u32> derate_;
     std::vector<u64> linkPktSeq_; ///< per-link corruption-draw stream
-
-    // Route cache, one path per pair, used with and without a fault
-    // map: a pure function of (topology, fault map), rebuilt on fault
-    // application. An empty cached path means unreachable.
-    std::vector<std::vector<std::pair<u32, Dir>>> routeCache_;
-    std::vector<u8> routeKnown_;
-    std::vector<u8> pairRerouted_;
-
-    // Sequence-number reorder buffer, modeled as a per-pair in-order
-    // release clamp: retransmitted messages may finish traversal out
-    // of order, but the receiver releases them in sequence order, so
-    // per-(src,dst) FIFO delivery — which arch::System's payload-
-    // before-flag protocol relies on — survives faults.
-    std::vector<Cycle> pairInOrder_;
 
     Tracer *tracer_ = nullptr;
     u64 msgSeq_ = 0; ///< flow ids connecting injection to delivery

@@ -164,6 +164,55 @@ TEST(CycleEngine, CycleLimitStopsAndResumes)
     EXPECT_EQ(raw->ticks[1], 10000u);
 }
 
+TEST(CycleEngine, SameCycleOrderIsPushOrderRotated)
+{
+    // A cycle's due units are served in the order they were queued,
+    // starting at now % n: the arbitration order every golden pins.
+    struct LogUnit : Unit
+    {
+        LogUnit(ThreadId tid, std::vector<std::pair<Cycle, ThreadId>> *log)
+            : Unit(tid), log(log)
+        {
+        }
+        Cycle
+        tick(Cycle now) override
+        {
+            log->emplace_back(now, tid());
+            if (now >= 10) {
+                markHalted();
+                return kCycleNever;
+            }
+            return 10;
+        }
+        std::vector<std::pair<Cycle, ThreadId>> *log;
+    };
+    std::vector<std::pair<Cycle, ThreadId>> log;
+    Chip chip(smallConfig());
+    for (ThreadId t : {2u, 0u, 1u}) {
+        chip.setUnit(t, std::make_unique<LogUnit>(t, &log));
+        chip.activate(t);
+    }
+    EXPECT_EQ(chip.run(), RunExit::AllHalted);
+    // Cycle 1 holds [2, 0, 1], served from 1 % 3; the ticks requeue
+    // them at cycle 10 as [0, 1, 2], served from 10 % 3.
+    const std::vector<std::pair<Cycle, ThreadId>> want = {
+        {1, 0}, {1, 1}, {1, 2}, {10, 1}, {10, 2}, {10, 0}};
+    EXPECT_EQ(log, want);
+}
+
+TEST(CycleEngine, ActivatingARunningUnitDies)
+{
+    EXPECT_DEATH(
+        {
+            Chip chip(smallConfig());
+            chip.setUnit(0, std::make_unique<WakeListUnit>(
+                                0, std::vector<Cycle>{10}));
+            chip.activate(0);
+            chip.activate(0);
+        },
+        "already running");
+}
+
 // ---------------------------------------------------------------------------
 // Bank routing: pow2 fast path vs. remapped slow path.
 // ---------------------------------------------------------------------------

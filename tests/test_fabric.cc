@@ -17,8 +17,10 @@
 
 #include "arch/interest_group.h"
 #include "arch/system.h"
+#include "arch/thread_unit.h"
 #include "common/log.h"
 #include "exec/engine.h"
+#include "isa/builder.h"
 #include "net/fabric.h"
 #include "workloads/multichip.h"
 
@@ -433,6 +435,241 @@ TEST(Fabric, GuestRemoteAccessOutOfRangeThrows)
                  GuestError);
     EXPECT_THROW(runOne(arch::remoteEa(arch::kIgDefault, 0, 0)),
                  GuestError);
+}
+
+namespace
+{
+
+/** The kinds of remote reference the error-text tests issue. */
+enum class RemoteOp { Load, Store, Atomic };
+
+/** First GuestError text of one remote reference by chip 0 thread 0
+ *  of a 2x1x1 system through the ISA frontend ("" if none). */
+std::string
+isaRemoteError(RemoteOp op, Addr ea, u8 bytes)
+{
+    MultiChipConfig mc;
+    mc.dimX = 2;
+    mc.dimY = mc.dimZ = 1;
+    arch::System sys(mc.systemConfig());
+    isa::ProgramBuilder b;
+    b.li(10, ea);
+    b.li(11, 1);
+    switch (op) {
+      case RemoteOp::Load:
+        bytes == 8 ? b.ld(4, 0, 10) : b.lw(4, 0, 10);
+        break;
+      case RemoteOp::Store:
+        bytes == 8 ? b.sd(4, 0, 10) : b.sw(4, 0, 10);
+        break;
+      case RemoteOp::Atomic:
+        b.amoadd(5, 10, 11);
+        break;
+    }
+    b.halt();
+    sys.loadProgramAll(b.finish());
+    arch::Chip &chip = sys.chip(0);
+    chip.setUnit(0, std::make_unique<arch::ThreadUnit>(0, chip, 0));
+    chip.activate(0);
+    try {
+        sys.run();
+    } catch (const GuestError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** The same reference issued by a guest coroutine on chip 0. */
+std::string
+guestRemoteError(RemoteOp op, Addr ea, u8 bytes)
+{
+    MultiChipConfig mc;
+    mc.dimX = 2;
+    mc.dimY = mc.dimZ = 1;
+    arch::System sys(mc.systemConfig());
+    exec::GuestEngine engine(sys.chip(0));
+    struct Body
+    {
+        static exec::GuestTask
+        run(exec::GuestCtx &ctx, RemoteOp op, Addr ea, u8 bytes)
+        {
+            switch (op) {
+              case RemoteOp::Load:
+                co_await ctx.load(ea, bytes);
+                break;
+              case RemoteOp::Store:
+                co_await ctx.store(ea, 1, bytes);
+                break;
+              case RemoteOp::Atomic:
+                co_await ctx.amoadd(ea, 1);
+                break;
+            }
+            co_await ctx.sync();
+        }
+    };
+    engine.spawn(1, [&](exec::GuestCtx &ctx) {
+        return Body::run(ctx, op, ea, bytes);
+    });
+    try {
+        sys.run();
+    } catch (const GuestError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(Fabric, RemoteErrorTextsMatchAcrossFrontends)
+{
+    // The first diagnostic of each malformed remote reference, pinned
+    // word for word: both frontends decode remote references through
+    // the same checks, in the same order.
+    const Addr farChip = arch::remoteEa(arch::kIgDefault, 5, 0);
+    const Addr selfChip = arch::remoteEa(arch::kIgDefault, 0, 0x40);
+    const Addr misaligned = arch::remoteEa(arch::kIgDefault, 1, 0x104);
+    const Addr peer = arch::remoteEa(arch::kIgDefault, 1, 0x100);
+    struct Case
+    {
+        RemoteOp op;
+        Addr ea;
+        u8 bytes;
+        std::string want;
+    };
+    const Case cases[] = {
+        {RemoteOp::Load, farChip, 8,
+         strprintf("remote window addresses chip 5 of a 2-chip system "
+                   "(chip 0 thread 0, ea 0x%08x)", farChip)},
+        {RemoteOp::Store, farChip, 8,
+         strprintf("remote window addresses chip 5 of a 2-chip system "
+                   "(chip 0 thread 0, ea 0x%08x)", farChip)},
+        {RemoteOp::Load, selfChip, 4,
+         strprintf("remote window targets the local chip 0 (thread 0, "
+                   "ea 0x%08x)", selfChip)},
+        {RemoteOp::Store, selfChip, 4,
+         strprintf("remote window targets the local chip 0 (thread 0, "
+                   "ea 0x%08x)", selfChip)},
+        {RemoteOp::Load, misaligned, 8,
+         strprintf("misaligned 8-byte remote access at 0x%08x (chip 0 "
+                   "thread 0)", misaligned)},
+        {RemoteOp::Store, misaligned, 8,
+         strprintf("misaligned 8-byte remote access at 0x%08x (chip 0 "
+                   "thread 0)", misaligned)},
+        {RemoteOp::Atomic, peer, 4,
+         strprintf("remote atomics are not supported (chip 0 thread 0, "
+                   "ea 0x%08x)", peer)},
+        {RemoteOp::Atomic, farChip, 4,
+         strprintf("remote window addresses chip 5 of a 2-chip system "
+                   "(chip 0 thread 0, ea 0x%08x)", farChip)},
+        {RemoteOp::Atomic, misaligned + 2, 4,
+         strprintf("misaligned 4-byte remote access at 0x%08x (chip 0 "
+                   "thread 0)", misaligned + 2)},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(isaRemoteError(c.op, c.ea, c.bytes), c.want);
+        EXPECT_EQ(guestRemoteError(c.op, c.ea, c.bytes), c.want);
+    }
+}
+
+TEST(Fabric, RemoteReferenceSizeCheckedLikeLocal)
+{
+    // A remote reference gets the local path's size check: a size
+    // other than 1, 2, 4 or 8 is a simulator bug, not a guest error.
+    MultiChipConfig mc;
+    mc.dimX = 2;
+    mc.dimY = mc.dimZ = 1;
+    const Addr ea = arch::remoteEa(arch::kIgDefault, 1, 0x102);
+    EXPECT_DEATH(
+        {
+            arch::System sys(mc.systemConfig());
+            sys.chip(0).memRead(ea, 0, 0);
+        },
+        "memory access of 0 bytes");
+    EXPECT_DEATH(
+        {
+            arch::System sys(mc.systemConfig());
+            sys.chip(0).memRead(ea, 3, 0);
+        },
+        "memory access of 3 bytes");
+    EXPECT_DEATH(
+        {
+            arch::System sys(mc.systemConfig());
+            sys.chip(0).memRead(arch::igAddr(arch::kIgDefault, 0x102), 3,
+                                0);
+        },
+        "memory access of 3 bytes");
+}
+
+TEST(Fabric, UntimedRemoteWriteLandsDirectly)
+{
+    // Chip::memWrite and GuestCtx::pokeDouble take no simulated time:
+    // on a remote-window address they write the target chip's window
+    // at once, queue nothing, and leave the thread free to post timed
+    // remote stores afterwards.
+    MultiChipConfig mc;
+    mc.dimX = 2;
+    mc.dimY = mc.dimZ = 1;
+    arch::System sys(mc.systemConfig());
+    const PhysAddr base = sys.windowBase();
+    sys.chip(0).memWrite(arch::remoteEa(arch::kIgDefault, 1, 0x10), 8,
+                         0x1122334455667788ull, 0);
+    EXPECT_EQ(sys.pendingStores(), 0u);
+    u64 landed = 0;
+    sys.chip(1).readPhys(base + 0x10, &landed, 8);
+    EXPECT_EQ(landed, 0x1122334455667788ull);
+    EXPECT_EQ(sys.chip(0).memRead(arch::remoteEa(arch::kIgDefault, 1,
+                                                 0x10), 8, 0),
+              0x1122334455667788ull);
+
+    exec::GuestEngine engine(sys.chip(0));
+    struct Body
+    {
+        static exec::GuestTask
+        run(exec::GuestCtx &ctx)
+        {
+            ctx.pokeDouble(arch::remoteEa(arch::kIgDefault, 1, 0x20), 2.5);
+            co_await ctx.store(arch::remoteEa(arch::kIgDefault, 1, 0x28),
+                               7);
+            co_await ctx.sync();
+        }
+    };
+    engine.spawn(1, [](exec::GuestCtx &ctx) { return Body::run(ctx); });
+    EXPECT_EQ(sys.run(), arch::RunExit::AllHalted);
+    EXPECT_EQ(sys.pendingStores(), 0u);
+    double poked = 0;
+    sys.chip(1).readPhys(base + 0x20, &poked, 8);
+    EXPECT_EQ(poked, 2.5);
+    u64 stored = 0;
+    sys.chip(1).readPhys(base + 0x28, &stored, 8);
+    EXPECT_EQ(stored, 7u);
+    // Only the timed store crossed the fabric.
+    EXPECT_EQ(sys.fabric().messages(), 1u);
+}
+
+TEST(Fabric, PairCacheMatchesTopology)
+{
+    // inject() times every message from the per-pair record built at
+    // construction: its hop count and zero-load latency must equal the
+    // analytic model for every pair and message size.
+    const NetConfig shapes[] = {shape(2, 2, 1, true), shape(4, 4, 4, true),
+                                shape(3, 2, 1, false)};
+    for (const NetConfig &net : shapes) {
+        const Topology topo(net);
+        const Fabric fabric(FabricConfig{net});
+        for (u32 s = 0; s < net.numChips(); ++s) {
+            for (u32 d = 0; d < net.numChips(); ++d) {
+                ASSERT_EQ(fabric.pairHops(s, d), topo.hops(s, d));
+                if (s == d)
+                    continue;
+                for (u32 bytes = 1; bytes <= 2 * net.maxPacketBytes;
+                     ++bytes)
+                    ASSERT_EQ(fabric.wireLatency(s, d, bytes),
+                              topo.uncontendedLatency(s, d, bytes))
+                        << net.dimX << "x" << net.dimY << "x" << net.dimZ
+                        << " " << s << "->" << d << " " << bytes << "B";
+            }
+        }
+    }
 }
 
 TEST(Fabric, ChipIdentitySprs)
