@@ -1,6 +1,6 @@
 /**
  * @file
- * Strict parsing of numeric command-line values.
+ * Strict parsing of command-line values.
  *
  * atoi() and friends read "abc" as 0 and "12x" as 12, so a typo
  * silently runs a different experiment. These helpers accept only a
@@ -11,10 +11,12 @@
 #ifndef CYCLOPS_COMMON_PARSE_H
 #define CYCLOPS_COMMON_PARSE_H
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "common/types.h"
 
@@ -50,6 +52,52 @@ parseU32(const char *text, u32 *out)
     if (!parseU64(text, &v) || v > std::numeric_limits<u32>::max())
         return false;
     *out = u32(v);
+    return true;
+}
+
+/**
+ * Parse a directed link "A->B" (with @p value null) or "A->B=N" into
+ * u32 parts. False (and the outputs untouched) if malformed.
+ */
+inline bool
+parseLink(const std::string &text, u32 *src, u32 *dst, u32 *value = nullptr)
+{
+    const size_t arrow = text.find("->");
+    const size_t eq = value ? text.find('=') : text.size();
+    if (arrow == std::string::npos || eq == std::string::npos ||
+        eq < arrow)
+        return false;
+    u32 a = 0, b = 0, v = 0;
+    if (!parseU32(text.substr(0, arrow).c_str(), &a) ||
+        !parseU32(text.substr(arrow + 2, eq - arrow - 2).c_str(), &b) ||
+        (value && !parseU32(text.substr(eq + 1).c_str(), &v)))
+        return false;
+    *src = a;
+    *dst = b;
+    if (value)
+        *value = v;
+    return true;
+}
+
+/**
+ * Parse nonzero dimensions "X,Y,Z" or "XxYxZ". False (and @p dims
+ * untouched) if malformed.
+ */
+inline bool
+parseDims(const std::string &text, u32 dims[3])
+{
+    const char sep = text.find(',') != std::string::npos ? ',' : 'x';
+    u32 parsed[3];
+    size_t pos = 0;
+    for (int d = 0; d < 3; ++d) {
+        const size_t end = d < 2 ? text.find(sep, pos) : text.size();
+        if (end == std::string::npos ||
+            !parseU32(text.substr(pos, end - pos).c_str(), &parsed[d]) ||
+            parsed[d] == 0)
+            return false;
+        pos = end + 1;
+    }
+    std::copy(parsed, parsed + 3, dims);
     return true;
 }
 

@@ -10,35 +10,35 @@ namespace cyclops
 const char *const kTraceCatNames[kNumTraceCats] = {
     "mem", "cache", "barrier", "kernel", "sched", "net"};
 
-u8
-parseTraceCats(const std::string &spec)
+std::string
+parseTraceCats(const std::string &spec, u8 *mask)
 {
-    if (spec.empty() || spec == "none")
-        return 0;
-    if (spec == "all")
-        return kTraceAll;
-    u8 mask = 0;
+    if (spec.empty() || spec == "none") {
+        *mask = 0;
+        return "";
+    }
+    if (spec == "all") {
+        *mask = kTraceAll;
+        return "";
+    }
+    u8 bits = 0;
     size_t pos = 0;
     while (pos < spec.size()) {
         size_t comma = spec.find(',', pos);
         if (comma == std::string::npos)
             comma = spec.size();
         const std::string name = spec.substr(pos, comma - pos);
-        bool found = false;
-        for (u32 i = 0; i < kNumTraceCats; ++i) {
-            if (name == kTraceCatNames[i]) {
-                mask |= u8(1u << i);
-                found = true;
-                break;
-            }
-        }
-        if (!found)
-            fatal("unknown trace category '%s' (valid: "
-                  "mem,cache,barrier,kernel,sched,net,all,none)",
-                  name.c_str());
+        const auto *const end = kTraceCatNames + kNumTraceCats;
+        const auto *const it = std::find(kTraceCatNames, end, name);
+        if (it == end)
+            return strprintf("unknown trace category '%s' (valid: "
+                             "mem,cache,barrier,kernel,sched,net,all,"
+                             "none)", name.c_str());
+        bits |= u8(1u << (it - kTraceCatNames));
         pos = comma + 1;
     }
-    return mask;
+    *mask = bits;
+    return "";
 }
 
 void

@@ -52,9 +52,10 @@ inline constexpr u8 kTraceAll = (1u << kNumTraceCats) - 1;
 
 /**
  * Parse a comma-separated category list ("mem,barrier", "all", "none",
- * "") into a mask. fatal() on an unknown category name.
+ * "") into @p mask. "" on success; on an unknown category name, why
+ * (and @p mask is left alone).
  */
-u8 parseTraceCats(const std::string &spec);
+std::string parseTraceCats(const std::string &spec, u8 *mask);
 
 class Tracer
 {

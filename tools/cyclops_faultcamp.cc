@@ -21,11 +21,10 @@
  * rerouting or the end-to-end retry absorbed the fault, detected is
  * a structured fabric-failure exit, sdc is a checksum escape.
  *
- * Observability passthrough (DESIGN.md section 10): --stats-json,
- * --stats-csv, --stats-interval, --trace-out, --trace-cats and
- * --trace-capacity apply to the *injected* runs (the golden and
- * baseline runs stay quiet). Put "%t" in output paths — it expands to
- * "i<iteration>" so parallel jobs never share a file:
+ * The trace and stats options (DESIGN.md section 10) apply to the
+ * *injected* runs (the golden and baseline runs stay quiet). Put "%t"
+ * in output paths — it expands to "i<iteration>" so parallel jobs
+ * never share a file:
  *
  *   cyclops-faultcamp --iters 16 --stats-json 'camp-%t.json'
  *
@@ -33,124 +32,56 @@
  * 2 on a usage error.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 #include <string>
 
+#include "common/cli.h"
 #include "common/log.h"
-#include "common/parse.h"
-#include "common/trace.h"
 #include "fault/fault.h"
 
 using namespace cyclops;
-
-namespace
-{
-
-int
-usage(const char *argv0, const char *why)
-{
-    if (why)
-        std::fprintf(stderr, "%s: %s\n", argv0, why);
-    std::fprintf(stderr,
-                 "usage: %s [--seed N] [--iters N] [--threads N] "
-                 "[--body-ops N]\n"
-                 "       [--kind register|memory|cacheLine|link]\n"
-                 "       [--max-cycles N] [--watchdog N] [--jobs N] "
-                 "[--out FILE]\n"
-                 "       [--stats-json P] [--stats-csv P] "
-                 "[--stats-interval N]\n"
-                 "       [--trace-out P] [--trace-cats LIST] "
-                 "[--trace-capacity N]\n"
-                 "       (paths may contain %%t -> \"i<iter>\")\n",
-                 argv0);
-    return 2;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     fault::CampaignOptions opts;
-    u64 jobs = 0;
+    u32 jobs = 0;
     std::string outPath;
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        auto numArg = [&](u64 *out) {
-            if (i + 1 >= argc || !parseU64(argv[++i], out)) {
-                std::exit(usage(argv[0],
-                                strprintf("%s needs a number", arg)
-                                    .c_str()));
-            }
-        };
-        u64 v = 0;
-        if (std::strcmp(arg, "--seed") == 0) {
-            numArg(&opts.seed);
-        } else if (std::strcmp(arg, "--iters") == 0) {
-            numArg(&v);
-            opts.iterations = u32(v);
-        } else if (std::strcmp(arg, "--threads") == 0) {
-            numArg(&v);
-            opts.threads = u32(v);
-        } else if (std::strcmp(arg, "--body-ops") == 0) {
-            numArg(&v);
-            opts.bodyOps = u32(v);
-        } else if (std::strcmp(arg, "--kind") == 0 && i + 1 < argc) {
-            if (!fault::parseFaultKind(argv[++i], &opts.kind))
-                return usage(argv[0],
-                             strprintf("--kind: unknown fault kind '%s'",
-                                       argv[i]).c_str());
-            opts.kindSet = true;
-        } else if (std::strcmp(arg, "--max-cycles") == 0) {
-            numArg(&opts.maxCycles);
-        } else if (std::strcmp(arg, "--watchdog") == 0) {
-            numArg(&opts.watchdogCycles);
-        } else if (std::strcmp(arg, "--jobs") == 0) {
-            numArg(&jobs);
-        } else if (std::strcmp(arg, "--out") == 0 && i + 1 < argc) {
-            outPath = argv[++i];
-        } else if (std::strcmp(arg, "--stats-json") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsJson = argv[++i];
-        } else if (std::strcmp(arg, "--stats-csv") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsCsv = argv[++i];
-        } else if (std::strcmp(arg, "--stats-interval") == 0) {
-            numArg(&v);
-            opts.obs.statsInterval = u32(v);
-        } else if (std::strcmp(arg, "--trace-out") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceOut = argv[++i];
-        } else if (std::strcmp(arg, "--trace-cats") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceCats = parseTraceCats(argv[++i]);
-        } else if (std::strcmp(arg, "--trace-capacity") == 0) {
-            numArg(&v);
-            opts.obs.traceCapacity = u32(v);
-        } else {
-            return usage(argv[0],
-                         strprintf("unknown argument '%s'", arg).c_str());
-        }
-    }
-    if (opts.threads == 0 || opts.threads > 8)
-        return usage(argv[0], "--threads must be 1..8");
-    if (opts.iterations == 0)
-        return usage(argv[0], "--iters must be nonzero");
-    if (opts.maxCycles == 0)
-        return usage(argv[0], "--max-cycles must be nonzero");
-    // Tracing to a file without an explicit category list records all.
-    if (!opts.obs.traceOut.empty() && opts.obs.traceCats == 0)
-        opts.obs.traceCats = kTraceAll;
+    cli::OptionTable table("", "output paths may contain %t -> "
+                               "\"i<iter>\"");
+    table.add(cli::u64Value("--seed", &opts.seed, "campaign seed"));
+    table.add(cli::u32Value("--iters", &opts.iterations,
+                            "injections (default 100)"));
+    table.add(cli::u32Value("--threads", &opts.threads,
+                            "threads per program, 1..8 (default 4)"));
+    table.add(cli::u32Value("--body-ops", &opts.bodyOps,
+                            "generated program size (default 48)"));
+    table.add({"--kind", "KIND", "only register|memory|cacheLine|link",
+               [&opts](const char *v) {
+                   if (!fault::parseFaultKind(v, &opts.kind))
+                       return strprintf("unknown fault kind '%s'", v);
+                   opts.kindSet = true;
+                   return std::string();
+               }});
+    table.add(cli::u64Value("--max-cycles", &opts.maxCycles,
+                            "per-run cycle budget (default 200000)"));
+    table.add(cli::watchdog(&opts.watchdogCycles));
+    table.add(cli::jobs("--jobs", &jobs, "host threads (0 = all)"));
+    table.add(cli::text("--out", &outPath, "JSON report (default stdout)",
+                        "FILE"));
+    table.addObs(opts.obs);
 
-    // Saturate rather than truncate: SimPool::resolveJobs clamps any
-    // count past the hardware thread count.
-    const fault::CampaignResult res = fault::runCampaign(
-        opts, u32(std::min<u64>(jobs, std::numeric_limits<u32>::max())));
+    if (const std::string why = table.parse(argc, argv); !why.empty())
+        table.fail(argv[0], why);
+    if (opts.threads == 0 || opts.threads > 8)
+        table.fail(argv[0], "--threads must be 1..8");
+    if (opts.iterations == 0)
+        table.fail(argv[0], "--iters must be nonzero");
+    if (opts.maxCycles == 0)
+        table.fail(argv[0], "--max-cycles must be nonzero");
+
+    const fault::CampaignResult res = fault::runCampaign(opts, jobs);
 
     std::printf("%u injections:", opts.iterations);
     for (unsigned c = 0; c < fault::kNumOutcomes; ++c)

@@ -13,120 +13,59 @@
  *   cyclops-fuzz --mutate add-off-by-one       harness self-test: must
  *                                              report a divergence
  *
- * Observability passthrough (DESIGN.md section 10): --stats-json,
- * --stats-csv, --stats-interval, --trace-out, --trace-cats and
- * --trace-capacity apply to the timing-side chips. Put "%t" in output
- * paths — it expands to "i<iteration>" so iterations do not overwrite
- * each other's files.
+ * The trace and stats options (DESIGN.md section 10) apply to the
+ * timing-side chips. Put "%t" in output paths — it expands to
+ * "i<iteration>" so iterations do not overwrite each other's files.
  *
- * Exit status: 0 on a clean campaign, 1 if any program diverged.
+ * Exit status: 0 on a clean campaign, 1 if any program diverged, 2 on
+ * a usage error.
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/cli.h"
 #include "common/log.h"
-#include "common/parse.h"
-#include "common/trace.h"
 #include "verify/fuzz.h"
 
 using namespace cyclops;
-
-namespace
-{
-
-[[noreturn]] void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--seed N] [--iters N] [--threads N] "
-                 "[--no-shrink] [--verbose]\n"
-                 "       [--mutate add-off-by-one|sltu-flipped|"
-                 "lb-zero-extends]\n"
-                 "       [--stats-json P] [--stats-csv P] "
-                 "[--stats-interval N]\n"
-                 "       [--trace-out P] [--trace-cats LIST] "
-                 "[--trace-capacity N]\n"
-                 "       (paths may contain %%t -> \"i<iter>\")\n",
-                 argv0);
-    std::exit(2);
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     verify::FuzzOptions opts;
 
-    // A numeric option's value must parse whole; anything else is a
-    // usage error (exit 2), never a silent 0.
-    auto number = [&](int &i, auto *out) {
-        const char *text = argv[++i];
-        bool ok;
-        if constexpr (sizeof(*out) == sizeof(u64))
-            ok = parseU64(text, out);
-        else
-            ok = parseU32(text, out);
-        if (!ok) {
-            std::fprintf(stderr, "%s: %s needs a nonnegative number, "
-                         "got '%s'\n", argv[0], argv[i - 1], text);
-            usage(argv[0]);
-        }
-    };
+    cli::OptionTable table("", "output paths may contain %t -> "
+                               "\"i<iter>\"");
+    table.add(cli::u64Value("--seed", &opts.seed, "campaign seed"));
+    table.add(cli::u32Value("--iters", &opts.iters,
+                            "programs to diff (default 200)"));
+    table.add(cli::u32Value("--threads", &opts.maxThreads,
+                            "max threads per program, 1..8 (default 4)"));
+    table.add(cli::flag("--no-shrink", &opts.shrinkOnFail,
+                        "report the unshrunk failing program", false));
+    table.add(cli::flag("--verbose", &opts.verbose,
+                        "per-iteration progress on stdout"));
+    table.add({"--mutate", "BUG",
+               "add-off-by-one|sltu-flipped|lb-zero-extends",
+               [&opts](const char *v) {
+                   const std::string name = v;
+                   if (name == "add-off-by-one")
+                       opts.mutation = verify::Mutation::AddOffByOne;
+                   else if (name == "sltu-flipped")
+                       opts.mutation = verify::Mutation::SltuFlipped;
+                   else if (name == "lb-zero-extends")
+                       opts.mutation = verify::Mutation::LbZeroExtends;
+                   else
+                       return strprintf("unknown mutation '%s'", v);
+                   return std::string();
+               }});
+    table.addObs(opts.obs);
 
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-            number(i, &opts.seed);
-        } else if (std::strcmp(argv[i], "--iters") == 0 && i + 1 < argc) {
-            number(i, &opts.iters);
-        } else if (std::strcmp(argv[i], "--threads") == 0 &&
-                   i + 1 < argc) {
-            number(i, &opts.maxThreads);
-        } else if (std::strcmp(argv[i], "--no-shrink") == 0) {
-            opts.shrinkOnFail = false;
-        } else if (std::strcmp(argv[i], "--shrink") == 0) {
-            opts.shrinkOnFail = true;
-        } else if (std::strcmp(argv[i], "--verbose") == 0) {
-            opts.verbose = true;
-        } else if (std::strcmp(argv[i], "--stats-json") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsJson = argv[++i];
-        } else if (std::strcmp(argv[i], "--stats-csv") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.statsCsv = argv[++i];
-        } else if (std::strcmp(argv[i], "--stats-interval") == 0 &&
-                   i + 1 < argc) {
-            number(i, &opts.obs.statsInterval);
-        } else if (std::strcmp(argv[i], "--trace-out") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceOut = argv[++i];
-        } else if (std::strcmp(argv[i], "--trace-cats") == 0 &&
-                   i + 1 < argc) {
-            opts.obs.traceCats = parseTraceCats(argv[++i]);
-        } else if (std::strcmp(argv[i], "--trace-capacity") == 0 &&
-                   i + 1 < argc) {
-            number(i, &opts.obs.traceCapacity);
-        } else if (std::strcmp(argv[i], "--mutate") == 0 && i + 1 < argc) {
-            const std::string name = argv[++i];
-            if (name == "add-off-by-one")
-                opts.mutation = verify::Mutation::AddOffByOne;
-            else if (name == "sltu-flipped")
-                opts.mutation = verify::Mutation::SltuFlipped;
-            else if (name == "lb-zero-extends")
-                opts.mutation = verify::Mutation::LbZeroExtends;
-            else
-                usage(argv[0]);
-        } else {
-            usage(argv[0]);
-        }
-    }
+    if (const std::string why = table.parse(argc, argv); !why.empty())
+        table.fail(argv[0], why);
     if (opts.maxThreads == 0 || opts.maxThreads > 8)
-        fatal("--threads must be 1..8");
-    // Tracing to a file without an explicit category list records all.
-    if (!opts.obs.traceOut.empty() && opts.obs.traceCats == 0)
-        opts.obs.traceCats = kTraceAll;
+        table.fail(argv[0], "--threads must be 1..8");
 
     const verify::FuzzResult res = verify::fuzzLoop(opts);
 

@@ -9,60 +9,13 @@
  *   cyclops-run --stats prog.s         dump every statistic at exit
  *   cyclops-run --disasm prog.s        print the assembled code, don't run
  *
- * Multi-chip systems (DESIGN.md section 16):
- *   --chips X,Y,Z      run an X x Y x Z torus of chips on the
- *                      cycle-driven fabric; the program is SPMD (the
- *                      same image boots on every chip, -t threads
- *                      each; SPRs 6/7 = chip id / chip count)
- *   --mesh             mesh links instead of torus wraparound
+ *   cyclops-run --chips 2,2,1 prog.s   SPMD on a 2x2x1 torus of chips
+ *                                      (SPRs 6/7 = chip id / count)
  *
- * Degraded chips and robustness (DESIGN.md section 13):
- *   --disable-tu N     fuse off one thread unit       (repeatable)
- *   --disable-quad N   fuse off a quad: TUs+FPU+cache (repeatable)
- *   --disable-fpu N    fuse off one quad's FPU        (repeatable)
- *   --disable-dcache N fuse off one data cache        (repeatable)
- *   --disable-icache N fuse off one I-cache           (repeatable)
- *   --disable-bank N   fail one memory bank           (repeatable)
- *   --cache-ways N     live ways per D-cache set (0 = all)
- *   --watchdog N       deadlock watchdog window in cycles (0 = off)
- *   --timeout-seconds N  wall-clock limit (graceful stop via SIGALRM)
- *
- * Fabric link faults (DESIGN.md section 18; need --chips; chips are
- * ids in the X,Y,Z grid, x fastest):
- *   --disable-link A->B    kill the directed link chip A -> chip B;
- *                          routing detours around it (repeatable)
- *   --link-flaky A->B=PPM  corrupt packets on the link with
- *                          probability PPM/1e6; the end-to-end
- *                          checksum catches and retransmits
- *   --link-derate A->B=N   divide the link bandwidth by N
- *   --fabric-fault-seed N  corruption-draw stream selector (the run
- *                          is byte-reproducible for a given seed)
- *   --fabric-fault-at N    apply the fault map mid-run at cycle N
- *                          (default 0: degraded from the first cycle)
- *
- * Observability (DESIGN.md section 10):
- *   --stats-json out.json    end-of-run counters/histograms as JSON
- *   --stats-csv out.csv      epoch-sampled counter time-series as CSV
- *   --stats-interval N       sample period in cycles (enables the series)
- *   --trace-out trace.json   Chrome-trace events (load in Perfetto);
- *                            with --chips, the fabric appears as its
- *                            own process with per-link tracks
- *   --trace-cats LIST        mem,cache,barrier,kernel,sched,net
- *                            or "all"
- *   --trace-capacity N       tracer ring size in events
- *   --fabric-stats out.json  fabric stats JSON (needs --chips; schema
- *                            cyclops-fabric-v1, per-link counters,
- *                            latency histograms, chip-pair matrix —
- *                            validated by tools/check_fabric.py)
- *   --fabric-heatmap out.csv link/pair congestion heatmap CSV (needs
- *                            --chips; DESIGN.md section 17)
- *   --prof-out base          PC-sampling profile: base (JSON report),
- *                            base.folded (flamegraph folded stacks),
- *                            base.heatmap.csv (bank heatmap)
- *   --prof-interval N        sample period in cycles (default 512
- *                            when --prof-out is given)
- *   --manifest out.json      per-run manifest (config hash,
- *                            git describe, headline counters)
+ * The options are rows of a common/cli.h table; the usage text lists
+ * them. Degraded chips: DESIGN.md section 13; fabric link faults
+ * (chips are ids in the X,Y,Z grid, x fastest): section 18;
+ * observability: section 10.
  *
  * Threads start at the `start` label (or address 0) with the kernel's
  * register conventions: r1 = stack pointer, r4 = software thread
@@ -77,7 +30,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -88,11 +40,11 @@
 
 #include "arch/chip.h"
 #include "arch/system.h"
+#include "common/cli.h"
 #include "common/config.h"
 #include "common/log.h"
 #include "common/manifest.h"
 #include "common/parse.h"
-#include "common/trace.h"
 #include "isa/assembler.h"
 #include "isa/disassembler.h"
 #include "kernel/kernel.h"
@@ -101,89 +53,6 @@ using namespace cyclops;
 
 namespace
 {
-
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [-t N] [--balanced] [--stats] [--disasm] "
-                 "[--max-cycles N]\n"
-                 "       [--disable-tu N] [--disable-quad N] "
-                 "[--disable-fpu N]\n"
-                 "       [--disable-dcache N] [--disable-icache N] "
-                 "[--disable-bank N]\n"
-                 "       [--cache-ways N] [--watchdog N] "
-                 "[--timeout-seconds N]\n"
-                 "       [--stats-json P] [--stats-csv P] "
-                 "[--stats-interval N]\n"
-                 "       [--trace-out P] [--trace-cats LIST] "
-                 "[--trace-capacity N]\n"
-                 "       [--prof-out P] [--prof-interval N]\n"
-                 "       [--fabric-stats P] [--fabric-heatmap P]\n"
-                 "       [--manifest P]\n"
-                 "       [--disable-link A->B] [--link-flaky A->B=PPM]\n"
-                 "       [--link-derate A->B=N] [--fabric-fault-seed N]\n"
-                 "       [--fabric-fault-at N]\n"
-                 "       [--chips X,Y,Z] [--mesh] prog.s\n",
-                 argv0);
-}
-
-/**
- * Report a malformed command line and exit 2. CLI mistakes are user
- * errors with structured messages, never fatal()/abort paths.
- */
-[[noreturn]] void
-argError(const char *argv0, const std::string &why)
-{
-    std::fprintf(stderr, "%s: %s\n", argv0, why.c_str());
-    usage(argv0);
-    std::exit(2);
-}
-
-/** Parse a directed link "A->B"; false if malformed. */
-bool
-parseLink(const char *text, u32 *src, u32 *dst)
-{
-    unsigned a = 0, b = 0;
-    char tail = 0;
-    if (std::sscanf(text, "%u->%u%c", &a, &b, &tail) != 2)
-        return false;
-    *src = u32(a);
-    *dst = u32(b);
-    return true;
-}
-
-/** Parse a valued directed link "A->B=N"; false if malformed. */
-bool
-parseLinkValue(const char *text, u32 *src, u32 *dst, u32 *value)
-{
-    unsigned a = 0, b = 0, v = 0;
-    char tail = 0;
-    if (std::sscanf(text, "%u->%u=%u%c", &a, &b, &v, &tail) != 3)
-        return false;
-    *src = u32(a);
-    *dst = u32(b);
-    *value = u32(v);
-    return true;
-}
-
-/** Parse "X,Y,Z" (or "XxYxZ") system dimensions; false if malformed. */
-bool
-parseDims(const char *text, u32 dims[3])
-{
-    unsigned x = 0, y = 0, z = 0;
-    char sep1 = 0, sep2 = 0, tail = 0;
-    const int n = std::sscanf(text, "%u%c%u%c%u%c", &x, &sep1, &y,
-                              &sep2, &z, &tail);
-    if (n != 5 || (sep1 != ',' && sep1 != 'x') || sep2 != sep1)
-        return false;
-    if (x == 0 || y == 0 || z == 0)
-        return false;
-    dims[0] = u32(x);
-    dims[1] = u32(y);
-    dims[2] = u32(z);
-    return true;
-}
 
 void
 stopHandler(int sig)
@@ -199,7 +68,8 @@ stopHandler(int sig)
  * fabric traffic counters.
  */
 int
-runSystem(const char *argv0, const isa::Program &prog, const char *path,
+runSystem(const cli::OptionTable &table, const char *argv0,
+          const isa::Program &prog, const char *path,
           const arch::SystemConfig &sysCfg, u32 threads, bool balanced,
           bool dumpStats, u64 maxCycles, const std::string &manifestPath,
           u64 startNs)
@@ -212,9 +82,9 @@ runSystem(const char *argv0, const isa::Program &prog, const char *path,
                                   : kernel::AllocPolicy::Sequential);
         kern->load(prog);
         if (threads > kern->usableThreads())
-            argError(argv0,
-                     strprintf("-t %u exceeds the %u usable threads",
-                               threads, kern->usableThreads()));
+            table.fail(argv0,
+                       strprintf("-t %u exceeds the %u usable threads",
+                                 threads, kern->usableThreads()));
         kern->spawn(threads, prog.entry);
         kernels.push_back(std::move(kern));
     }
@@ -319,145 +189,88 @@ main(int argc, char **argv)
     bool dumpStats = false;
     bool disasmOnly = false;
     u64 maxCycles = 1'000'000'000ull;
-    u64 timeoutSeconds = 0;
+    u32 timeoutSeconds = 0;
     ObsConfig obs;
     FaultConfig faultCfg;
     std::string manifestPath;
     u32 chipDims[3] = {0, 0, 0};
     bool mesh = false;
     net::FabricFaultMap faultMap;
-    const char *path = nullptr;
     const u64 startNs = hostNowNs();
 
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        // Flags taking one numeric operand share checked parsing.
-        auto num = [&]() -> u64 {
-            if (i + 1 >= argc)
-                argError(argv[0],
-                         strprintf("%s needs a numeric argument", arg));
-            u64 v = 0;
-            if (!parseU64(argv[++i], &v))
-                argError(argv[0],
-                         strprintf("%s: '%s' is not a nonnegative "
-                                   "number", arg, argv[i]));
-            return v;
-        };
-        if (std::strcmp(arg, "-t") == 0) {
-            threads = u32(num());
-        } else if (std::strcmp(arg, "--balanced") == 0) {
-            balanced = true;
-        } else if (std::strcmp(arg, "--stats") == 0) {
-            dumpStats = true;
-        } else if (std::strcmp(arg, "--disasm") == 0) {
-            disasmOnly = true;
-        } else if (std::strcmp(arg, "--max-cycles") == 0) {
-            maxCycles = num();
-        } else if (std::strcmp(arg, "--disable-tu") == 0) {
-            faultCfg.disabledTus.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-quad") == 0) {
-            faultCfg.disabledQuads.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-fpu") == 0) {
-            faultCfg.disabledFpus.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-dcache") == 0) {
-            faultCfg.disabledDcaches.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-icache") == 0) {
-            faultCfg.disabledIcaches.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--disable-bank") == 0) {
-            faultCfg.disabledBanks.push_back(u32(num()));
-        } else if (std::strcmp(arg, "--cache-ways") == 0) {
-            faultCfg.cacheWays = u32(num());
-        } else if (std::strcmp(arg, "--watchdog") == 0) {
-            faultCfg.watchdogCycles = num();
-        } else if (std::strcmp(arg, "--timeout-seconds") == 0) {
-            timeoutSeconds = num();
-        } else if (std::strcmp(arg, "--stats-json") == 0 &&
-                   i + 1 < argc) {
-            obs.statsJson = argv[++i];
-        } else if (std::strcmp(arg, "--stats-csv") == 0 && i + 1 < argc) {
-            obs.statsCsv = argv[++i];
-        } else if (std::strcmp(arg, "--stats-interval") == 0) {
-            obs.statsInterval = u32(num());
-        } else if (std::strcmp(arg, "--trace-out") == 0 && i + 1 < argc) {
-            obs.traceOut = argv[++i];
-        } else if (std::strcmp(arg, "--trace-cats") == 0 &&
-                   i + 1 < argc) {
-            obs.traceCats = parseTraceCats(argv[++i]);
-        } else if (std::strcmp(arg, "--trace-capacity") == 0) {
-            obs.traceCapacity = u32(num());
-        } else if (std::strcmp(arg, "--prof-out") == 0 && i + 1 < argc) {
-            obs.profOut = argv[++i];
-        } else if (std::strcmp(arg, "--prof-interval") == 0) {
-            obs.profInterval = u32(num());
-        } else if (std::strcmp(arg, "--fabric-stats") == 0 &&
-                   i + 1 < argc) {
-            obs.fabricStats = argv[++i];
-        } else if (std::strcmp(arg, "--fabric-heatmap") == 0 &&
-                   i + 1 < argc) {
-            obs.fabricHeatmap = argv[++i];
-        } else if (std::strcmp(arg, "--manifest") == 0 && i + 1 < argc) {
-            manifestPath = argv[++i];
-        } else if (std::strcmp(arg, "--disable-link") == 0 &&
-                   i + 1 < argc) {
-            net::LinkFault lf;
-            if (!parseLink(argv[++i], &lf.src, &lf.dst))
-                argError(argv[0],
-                         strprintf("--disable-link: '%s' is not "
-                                   "SRC->DST", argv[i]));
-            faultMap.links.push_back(lf);
-        } else if (std::strcmp(arg, "--link-flaky") == 0 &&
-                   i + 1 < argc) {
-            net::LinkFault lf;
-            lf.kind = net::LinkFaultKind::Flaky;
-            if (!parseLinkValue(argv[++i], &lf.src, &lf.dst,
-                                &lf.flakyPpm))
-                argError(argv[0],
-                         strprintf("--link-flaky: '%s' is not "
-                                   "SRC->DST=PPM", argv[i]));
-            faultMap.links.push_back(lf);
-        } else if (std::strcmp(arg, "--link-derate") == 0 &&
-                   i + 1 < argc) {
-            net::LinkFault lf;
-            lf.kind = net::LinkFaultKind::Derated;
-            if (!parseLinkValue(argv[++i], &lf.src, &lf.dst,
-                                &lf.derate))
-                argError(argv[0],
-                         strprintf("--link-derate: '%s' is not "
-                                   "SRC->DST=N", argv[i]));
-            faultMap.links.push_back(lf);
-        } else if (std::strcmp(arg, "--fabric-fault-seed") == 0) {
-            faultMap.seed = num();
-        } else if (std::strcmp(arg, "--fabric-fault-at") == 0) {
-            faultMap.atCycle = num();
-        } else if (std::strcmp(arg, "--chips") == 0 && i + 1 < argc) {
-            if (!parseDims(argv[++i], chipDims))
-                argError(argv[0],
-                         strprintf("--chips: '%s' is not X,Y,Z with "
-                                   "nonzero dimensions", argv[i]));
-        } else if (std::strcmp(arg, "--mesh") == 0) {
-            mesh = true;
-        } else if (arg[0] == '-') {
-            argError(argv[0], strprintf("unknown argument '%s'", arg));
-        } else if (path) {
-            argError(argv[0], "more than one program file");
-        } else {
-            path = arg;
-        }
-    }
-    if (!path)
-        argError(argv[0], "no program file");
+    // A repeatable link-fault row; @p value is the field "=N" sets.
+    auto link = [&faultMap](const char *name, net::LinkFaultKind kind,
+                            u32 net::LinkFault::*value,
+                            const char *operand, const char *help) {
+        return cli::Option{
+            name, operand, help,
+            [&faultMap, kind, value, operand](const char *v) {
+                net::LinkFault lf;
+                lf.kind = kind;
+                if (!parseLink(v, &lf.src, &lf.dst,
+                               value ? &(lf.*value) : nullptr))
+                    return strprintf("'%s' is not %s", v, operand);
+                faultMap.links.push_back(lf);
+                return std::string();
+            }};
+    };
+    cli::OptionTable table("prog.s");
+    table.add(cli::u32Value("-t", &threads, "software threads (default 1)"));
+    table.add(cli::flag("--balanced", &balanced,
+                        "balanced thread allocation"));
+    table.add(cli::flag("--stats", &dumpStats,
+                        "dump every statistic at exit"));
+    table.add(cli::flag("--disasm", &disasmOnly,
+                        "print the assembled code, don't run"));
+    table.add(cli::u64Value("--max-cycles", &maxCycles,
+                            "cycle limit (default 1e9; exit 3)"));
+    table.addFault(faultCfg);
+    table.add(cli::u32Value("--timeout-seconds", &timeoutSeconds,
+                            "wall-clock limit, graceful stop (SIGALRM)"));
+    table.addObs(obs);
+    table.addOutputs(obs, manifestPath);
+    table.add({"--chips", "X,Y,Z", "run a torus of chips (also XxYxZ)",
+               [&chipDims](const char *v) {
+                   return parseDims(v, chipDims)
+                              ? std::string()
+                              : strprintf("'%s' is not X,Y,Z with "
+                                          "nonzero dimensions", v);
+               }});
+    table.add(cli::flag("--mesh", &mesh, "mesh links, no torus wraparound"));
+    table.add(link("--disable-link", net::LinkFaultKind::Dead, nullptr,
+                   "A->B", "kill directed link A->B (repeatable)"));
+    table.add(link("--link-flaky", net::LinkFaultKind::Flaky,
+                   &net::LinkFault::flakyPpm, "A->B=PPM",
+                   "corrupt PPM/1e6 of the link's packets"));
+    table.add(link("--link-derate", net::LinkFaultKind::Derated,
+                   &net::LinkFault::derate, "A->B=N",
+                   "divide the link's bandwidth by N"));
+    table.add(cli::u64Value("--fabric-fault-seed", &faultMap.seed,
+                            "link-corruption draw stream selector"));
+    table.add(cli::u64Value("--fabric-fault-at", &faultMap.atCycle,
+                            "apply the link faults at cycle N "
+                            "(default 0)"));
+
+    std::vector<std::string> files;
+    if (const std::string why = table.parse(argc, argv, &files);
+        !why.empty())
+        table.fail(argv[0], why);
+    if (files.empty())
+        table.fail(argv[0], "no program file");
+    if (files.size() > 1)
+        table.fail(argv[0], "more than one program file");
+    const char *path = files[0].c_str();
     if (threads == 0)
-        argError(argv[0], "-t must be nonzero");
+        table.fail(argv[0], "-t must be nonzero");
     if (mesh && chipDims[0] == 0)
-        argError(argv[0], "--mesh needs --chips X,Y,Z");
+        table.fail(argv[0], "--mesh needs --chips X,Y,Z");
     if (chipDims[0] == 0 &&
         (!obs.fabricStats.empty() || !obs.fabricHeatmap.empty()))
-        argError(argv[0],
+        table.fail(argv[0],
                  "--fabric-stats/--fabric-heatmap need --chips X,Y,Z");
     if (chipDims[0] == 0 && !faultMap.empty())
-        argError(argv[0],
-                 "--disable-link/--link-flaky/--link-derate need "
-                 "--chips X,Y,Z");
+        table.fail(argv[0], "--disable-link/--link-flaky/--link-derate "
+                            "need --chips X,Y,Z");
 
     std::ifstream in(path);
     if (!in) {
@@ -487,19 +300,13 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Tracing to a file without an explicit category list records all.
-    if (!obs.traceOut.empty() && obs.traceCats == 0)
-        obs.traceCats = kTraceAll;
-    // Profiling to a file without an explicit period samples densely.
-    if (!obs.profOut.empty() && obs.profInterval == 0)
-        obs.profInterval = 512;
     ChipConfig chipCfg;
     chipCfg.obs = obs;
     chipCfg.fault = faultCfg;
     // A bad configuration (fault map out of range, no surviving cache,
     // ...) is a user error: report it structurally, don't abort.
     if (const std::string err = chipCfg.check(); !err.empty())
-        argError(argv[0], err);
+        table.fail(argv[0], err);
 
     // Stop gracefully on ^C / kill / wall-clock timeout: the run loop
     // returns at its next service point and all state gets flushed.
@@ -507,7 +314,7 @@ main(int argc, char **argv)
     std::signal(SIGTERM, stopHandler);
     if (timeoutSeconds != 0) {
         std::signal(SIGALRM, stopHandler);
-        alarm(u32(timeoutSeconds));
+        alarm(timeoutSeconds);
     }
 
     if (chipDims[0] != 0) {
@@ -519,8 +326,8 @@ main(int argc, char **argv)
         sysCfg.fabric.net.torus = !mesh;
         sysCfg.fabric.faults = faultMap;
         if (const std::string err = sysCfg.check(); !err.empty())
-            argError(argv[0], err);
-        return runSystem(argv[0], prog, path, sysCfg, threads, balanced,
+            table.fail(argv[0], err);
+        return runSystem(table, argv[0], prog, path, sysCfg, threads, balanced,
                          dumpStats, maxCycles, manifestPath, startNs);
     }
 
@@ -529,9 +336,9 @@ main(int argc, char **argv)
                                        : kernel::AllocPolicy::Sequential);
     kern.load(prog);
     if (threads > kern.usableThreads())
-        argError(argv[0],
-                 strprintf("-t %u exceeds the %u usable threads",
-                           threads, kern.usableThreads()));
+        table.fail(argv[0],
+                   strprintf("-t %u exceeds the %u usable threads",
+                             threads, kern.usableThreads()));
     kern.spawn(threads, prog.entry);
 
     arch::RunExit exit;

@@ -2,7 +2,7 @@
 # EXPECT and a stderr matching STDERR_MATCH (if given).
 #
 #   cmake -DRUNNER=<exe> -DARGS="--iters abc" -DEXPECT=2
-#         -DSTDERR_MATCH="usage:" -P expect_exit_test.cmake
+#         -DSTDERR_MATCH="--iters: 'abc'" -P expect_exit_test.cmake
 separate_arguments(arg_list UNIX_COMMAND "${ARGS}")
 execute_process(COMMAND ${RUNNER} ${arg_list}
     RESULT_VARIABLE rc
