@@ -166,7 +166,8 @@ pibLoop(bool bigPib)
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts =
+        cyclops::bench::parseOptions(argc, argv, cyclops::bench::kNoRows);
     const u32 largeEpt = opts.quick ? 800 : 1984;
 
     // ---- 1. Burst transfer mode -------------------------------------------

@@ -20,7 +20,8 @@ using cyclops::bench::Options;
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts =
+        cyclops::bench::parseOptions(argc, argv, cyclops::bench::kNoRows);
     cyclops::bench::banner(
         opts,
         "Section 3.2.2: sequential vs balanced thread allocation "

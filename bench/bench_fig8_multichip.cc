@@ -57,7 +57,8 @@ runPoint(const Options &opts, const Point &p)
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts =
+        cyclops::bench::parseOptions(argc, argv, cyclops::bench::kObsRows);
     cyclops::bench::banner(
         opts, "Figure 8: multi-chip fabric scaling (2x2x1 .. 4x4x4 torus)",
         "sections 1, 2.2 - cellular systems scale by replicating chips "

@@ -84,7 +84,8 @@ avgLatency(u8 ig, ThreadId tid, u32 lines)
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts =
+        cyclops::bench::parseOptions(argc, argv, cyclops::bench::kNoRows);
     cyclops::bench::banner(
         opts, "Table 1: interest group encoding",
         "cache-placement classes; deterministic, uniform scrambling");

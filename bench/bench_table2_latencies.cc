@@ -93,7 +93,8 @@ memLatency(const MemSetup &setup)
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts =
+        cyclops::bench::parseOptions(argc, argv, cyclops::bench::kNoRows);
     cyclops::bench::banner(
         opts, "Table 2: simulation parameters (measured)",
         "instruction execution/latency cycles and hardware parameters");

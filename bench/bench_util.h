@@ -2,10 +2,13 @@
  * @file
  * Shared helpers for the paper-reproduction benchmark binaries.
  *
- * Every bench takes the same options (optionTable: --quick, --csv,
- * --scale, --jobs, the degraded-chip fault map of DESIGN.md section 13
- * and the observability outputs of section 10); the usage text lists
- * them. CYCLOPS_BENCH_JOBS sets the job count that --jobs overrides.
+ * Every bench takes --quick, --csv, --scale, --jobs and --manifest
+ * (optionTable). A bench whose simulated chips carry them also takes
+ * the degraded-chip fault map of DESIGN.md section 13 and the
+ * observability outputs of section 10; the others do not offer those
+ * rows, so a flag a bench would ignore is refused. The usage text lists
+ * a bench's rows. CYCLOPS_BENCH_JOBS sets the job count that --jobs
+ * overrides.
  *
  * Simulation points are independent (one Chip each), so sweeps run
  * through cyclops::parallelSweep; results are collected in input
@@ -43,12 +46,20 @@ struct Options
     u64 startNs = 0;         ///< hostNowNs() at option parsing
 };
 
+/** The shared rows a bench applies to its simulated chips. */
+enum Rows : unsigned {
+    kNoRows = 0,
+    kObsRows = 1,   ///< observability outputs (Options::obs)
+    kFaultRows = 2, ///< the degraded-chip fault map (Options::fault)
+    kAllRows = kObsRows | kFaultRows,
+};
+
 /**
- * The bench option table, bound to @p opts. None of the observability
- * outputs change the simulated timing.
+ * The bench option table, bound to @p opts, with the shared @p rows.
+ * None of the observability outputs change the simulated timing.
  */
 inline cli::OptionTable
-optionTable(Options &opts)
+optionTable(Options &opts, unsigned rows = kAllRows)
 {
     cli::OptionTable t("", "output paths may contain %t, replaced by a "
                            "per-sweep-point tag");
@@ -58,31 +69,46 @@ optionTable(Options &opts)
                         "problem sizes times N/100 (default 100)"));
     t.add(cli::jobs("--jobs", &opts.jobs,
                     "host threads (0 = all; env CYCLOPS_BENCH_JOBS)"));
-    t.addFault(opts.fault);
-    t.addObs(opts.obs);
-    t.addOutputs(opts.obs, opts.manifestOut);
+    if (rows & kFaultRows)
+        t.addFault(opts.fault);
+    if (rows & kObsRows) {
+        t.addObs(opts.obs);
+        t.addOutputs(opts.obs, opts.manifestOut);
+    } else {
+        t.add(cli::manifest(&opts.manifestOut));
+    }
     return t;
 }
 
-/** Parse CYCLOPS_BENCH_JOBS and the command line, or exit 2. */
+/**
+ * Parse CYCLOPS_BENCH_JOBS and the command line against the bench's
+ * @p rows, or exit 2 before any output. A fault map or observability
+ * setting the chip configuration refuses is a usage error too.
+ */
 inline Options
-parseOptions(int argc, char **argv)
+parseOptions(int argc, char **argv, unsigned rows = kAllRows)
 {
     Options opts;
     opts.startNs = hostNowNs();
-    cli::OptionTable table = optionTable(opts);
+    cli::OptionTable table = optionTable(opts, rows);
     if (const char *env = std::getenv("CYCLOPS_BENCH_JOBS"))
         if (const std::string why = cli::parseJobs(env, &opts.jobs);
             !why.empty())
             table.fail(argv[0], "CYCLOPS_BENCH_JOBS: " + why);
     if (const std::string why = table.parse(argc, argv); !why.empty())
         table.fail(argv[0], why);
+    ChipConfig cfg;
+    cfg.obs = opts.obs;
+    cfg.fault = opts.fault;
+    if (const std::string err = cfg.check(); !err.empty())
+        table.fail(argv[0], "bad chip configuration: " + err);
     return opts;
 }
 
 /**
- * A ChipConfig carrying the bench's observability options, tagged so
- * "%t" in output paths expands uniquely per sweep point.
+ * A ChipConfig carrying the bench's observability options and fault
+ * map (checked by parseOptions), tagged so "%t" in output paths
+ * expands uniquely per sweep point.
  */
 inline ChipConfig
 chipConfig(const Options &opts, const std::string &tag)
@@ -91,11 +117,6 @@ chipConfig(const Options &opts, const std::string &tag)
     cfg.obs = opts.obs;
     cfg.obs.tag = tag;
     cfg.fault = opts.fault;
-    if (const std::string err = cfg.check(); !err.empty()) {
-        std::fprintf(stderr, "bad chip configuration: %s\n",
-                     err.c_str());
-        std::exit(2);
-    }
     return cfg;
 }
 

@@ -129,6 +129,12 @@ class DCache
     u32 waysBegin() const { return waysBegin_; }
     u32 waysEnd() const { return waysEnd_; }
 
+    /** Tag of an empty slot: above any tag a 32-bit address yields. */
+    static constexpr u32 kNoTag = ~0u;
+
+    /** Tag held by line slot @p slot (set * assoc + way), or kNoTag. */
+    u32 tagAt(u32 slot) const { return tags_[slot]; }
+
   private:
     /** Per-slot state besides the tag, indexed like tags_. */
     struct Line
@@ -139,20 +145,23 @@ class DCache
         Cycle lastUse = 0;
     };
 
-    /** Tag of an empty slot: above any tag a 32-bit address yields. */
-    static constexpr u32 kNoTag = ~0u;
     /** lookup() result when the line is not resident. */
     static constexpr u32 kNoSlot = ~0u;
 
-    /** Slot (set * assoc + way) holding @p tag in @p set, or kNoSlot. */
+    /**
+     * Slot (set * assoc + way) holding @p tag in @p set, or kNoSlot.
+     * Every live way is compared, with no early exit: which way hits
+     * is data-dependent and would mispredict. A set never holds a live
+     * tag twice, so at most one way matches.
+     */
     u32
     lookup(u32 set, u32 tag) const
     {
         const u32 base = set * assoc_;
+        u32 slot = kNoSlot;
         for (u32 way = waysBegin_; way < waysEnd_; ++way)
-            if (tags_[base + way] == tag)
-                return base + way;
-        return kNoSlot;
+            slot = tags_[base + way] == tag ? base + way : slot;
+        return slot;
     }
 
     /** Byte mask of @p req within its line. */

@@ -106,6 +106,13 @@ watchdog(u64 *cycles)
                     "deadlock watchdog window in cycles (0 = off)");
 }
 
+Option
+manifest(std::string *path)
+{
+    return text("--manifest", path,
+                "run manifest JSON (config hash, git describe)");
+}
+
 OptionTable::OptionTable(std::string operands, std::string note)
     : operands_(std::move(operands)), note_(std::move(note))
 {
@@ -150,8 +157,7 @@ OptionTable::addOutputs(ObsConfig &obs, std::string &manifest)
              "fabric stats JSON, cyclops-fabric-v1 (multi-chip)"));
     add(text("--fabric-heatmap", &obs.fabricHeatmap,
              "link/pair congestion heatmap CSV (multi-chip)"));
-    add(text("--manifest", &manifest,
-             "run manifest JSON (config hash, git describe)"));
+    add(cli::manifest(&manifest));
 }
 
 void

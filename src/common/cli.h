@@ -53,6 +53,8 @@ Option text(const char *name, std::string *out, const char *help,
 Option jobs(const char *name, u32 *out, const char *help);
 /** --watchdog: the deadlock-watchdog window in cycles (0 = off). */
 Option watchdog(u64 *cycles);
+/** --manifest: the run manifest's path. */
+Option manifest(std::string *path);
 
 /**
  * A job count: a nonnegative integer, saturated to u32 and resolved

@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "arch/chip.h"
 #include "arch/thread_unit.h"
 #include "common/log.h"
@@ -322,6 +325,85 @@ TEST(DCache, MixedTrafficPinned)
     EXPECT_EQ(s.counterValue("dcache0.wbBlocks"), 601u);
     EXPECT_EQ(s.counterValue("dcache0.scratchAccesses"), 437u);
     EXPECT_EQ(readySum, 11372364u);
+}
+
+namespace
+{
+
+/**
+ * The directory invariants the branch-free tag match relies on: slots
+ * in scratch ways and in ways past fault.cacheWays hold kNoTag, and no
+ * set holds a live tag twice (so at most one way can match).
+ */
+::testing::AssertionResult
+directoryIsSound(const DCache &dc, u32 assoc)
+{
+    for (u32 set = 0; set < dc.numLines() / assoc; ++set) {
+        std::vector<u32> live;
+        for (u32 way = 0; way < assoc; ++way) {
+            const u32 tag = dc.tagAt(set * assoc + way);
+            if (way < dc.waysBegin() || way >= dc.waysEnd()) {
+                if (tag != DCache::kNoTag)
+                    return ::testing::AssertionFailure()
+                           << "set " << set << " dead way " << way
+                           << " holds tag " << tag;
+            } else if (tag != DCache::kNoTag) {
+                if (std::find(live.begin(), live.end(), tag) != live.end())
+                    return ::testing::AssertionFailure()
+                           << "set " << set << " holds tag " << tag
+                           << " twice";
+                live.push_back(tag);
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TEST(DCache, DirectoryNeverHoldsATagTwice)
+{
+    // Seeded fills, evictions, tag faults, dcbf and dcbi on one cache
+    // with two scratch ways and three live ways (ways 2..4 of 8), over
+    // 8 KB: more than the 6 KB of live ways, so lines are evicted and
+    // refetched. The invariants hold after every operation.
+    ChipConfig cfg;
+    cfg.dcacheScratchWays = 2;
+    cfg.fault.cacheWays = 3;
+    Fab f(cfg);
+    DCache &dc = f.mem().dcache(0);
+    ASSERT_EQ(dc.waysBegin(), 2u);
+    ASSERT_EQ(dc.waysEnd(), 5u);
+    Rng rng(23);
+    Cycle t = 0;
+    for (int i = 0; i < 3000; ++i) {
+        t += rng.below(4);
+        const u32 pa = u32(rng.below(1024)) * 8;
+        const Addr ea = igAddr(igExactly(0), pa);
+        const ThreadId tid = ThreadId(rng.below(4));
+        const u64 op = rng.below(16);
+        if (op < 6) {
+            f.mem().access(t, tid, ea, 8, MemKind::Load);
+        } else if (op < 10) {
+            f.mem().access(t, tid, ea, 8, MemKind::Store);
+        } else if (op == 10) {
+            f.mem().access(t, tid, ea, 4, MemKind::Atomic);
+        } else if (op == 11) {
+            dc.faultLine(u32(rng.below(dc.numLines())));
+        } else if (op == 12) {
+            dc.flushLine(pa, t, f.mem());
+        } else if (op == 13) {
+            dc.invalidateLine(pa, t);
+        } else {
+            f.mem().access(t, tid, igAddr(igScratch(0), pa % 4096), 8,
+                           MemKind::Load);
+        }
+        ASSERT_TRUE(directoryIsSound(dc, cfg.dcacheAssoc))
+            << "after operation " << i << " (kind " << op << ")";
+    }
+    // The mix did fill and evict.
+    EXPECT_GT(f.chip.stats().counterValue("dcache0.misses"), 500u);
+    EXPECT_GT(f.chip.stats().counterValue("dcache0.writebacks"), 100u);
 }
 
 // ---------------------------------------------------------------------------

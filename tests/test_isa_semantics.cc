@@ -534,6 +534,60 @@ TEST(ThreadUnit, ZeroRegisterNeverTakesTheCharge)
               std::pair(u64(0), u64(0)));
 }
 
+TEST(ThreadUnit, QueueingShareGoesToBankContention)
+{
+    // TUs 1..3 load a line of quad 0's D-cache in one cycle, and TU 0
+    // loads it a cycle later. The single port grants one access a
+    // cycle, so TU 0's doubleword load into the pair r12/r13 waits 2
+    // cycles in the queue, whatever the service order within a cycle;
+    // the line's fill, started by the first of TUs 1..3, is still in
+    // flight when the port grants it. The dependent add stalls until
+    // the load is ready: the stall splits exactly into BankContention
+    // (the 2 queued cycles) and DcacheMiss (the rest). r13 keeps its
+    // unread queueing share until an unqueued hit overwrites it; the
+    // stall on that later producer charges none of the share.
+    ChipConfig cfg;
+    cfg.pibEnabled = false;
+    Chip chip(cfg);
+    ProgramBuilder builder;
+    const u32 data = builder.allocData(64, 64);
+    const Addr line = igAddr(igExactly(0), data);
+    const PhysAddr entry0 = builder.here();
+    builder.li(4, line);
+    builder.nop();
+    builder.ld(12, 0, 4);   // granted 2 cycles after it arrives
+    builder.add(6, 12, 12); // stalls on r12
+    builder.lw(13, 8, 4);   // a hit with no queueing, into r13
+    builder.add(7, 13, 13); // stalls on r13 for the hit latency
+    builder.halt();
+    const PhysAddr entryOthers = builder.here();
+    builder.li(4, line);
+    builder.ld(12, 0, 4);
+    builder.halt();
+    chip.loadProgram(builder.finish());
+    for (ThreadId tid = 0; tid < 4; ++tid) {
+        chip.setUnit(tid, std::make_unique<ThreadUnit>(
+                              tid, chip, tid == 0 ? entry0 : entryOthers));
+        chip.activate(tid);
+    }
+    ASSERT_EQ(chip.run(10'000), RunExit::AllHalted);
+
+    // The first load's fill: the miss latency less the bank-to-cache
+    // hop, counted from the cycle TUs 1..3 issue (TU 0's add issues two
+    // cycles later). The later hit stalls the hit latency less the
+    // cycle the add issues after the load.
+    const LatencyConfig &lat = cfg.lat;
+    const u64 fillStall = 24 - lat.bankToCache - 2;
+    const u64 hitStall = lat.memLocalHit - 1;
+    const Unit *u = chip.unit(0);
+    EXPECT_EQ(u->catCycles(CycleCat::BankContention), 2u);
+    EXPECT_EQ(u->catCycles(CycleCat::DcacheMiss),
+              fillStall - 2 + hitStall);
+    EXPECT_EQ(u->stallCycles(),
+              u->catCycles(CycleCat::BankContention) +
+                  u->catCycles(CycleCat::DcacheMiss));
+}
+
 TEST(Predecode, FieldsMatchMetaForEveryOpcode)
 {
     for (unsigned o = 0; o < isa::kNumOpcodes; ++o) {
