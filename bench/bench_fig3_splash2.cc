@@ -21,7 +21,8 @@ using cyclops::bench::Options;
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts = cyclops::bench::parseOptions(
+        argc, argv, cyclops::bench::kObsRows | cyclops::bench::kFaultRows);
     cyclops::bench::banner(
         opts, "Figure 3: SPLASH-2 parallel speedups",
         "most kernels reach scalability comparable to the SPLASH-2 "

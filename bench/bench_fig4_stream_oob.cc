@@ -59,7 +59,8 @@ sweepGrid(const Options &opts, const std::vector<u32> &sizes,
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts = cyclops::bench::parseOptions(
+        argc, argv, cyclops::bench::kObsRows | cyclops::bench::kFaultRows);
 
     // ---- Figure 4(a): single-threaded sweep -----------------------------
     cyclops::bench::banner(

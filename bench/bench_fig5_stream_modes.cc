@@ -64,7 +64,8 @@ constexpr size_t kNumModes = 4;
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts = cyclops::bench::parseOptions(
+        argc, argv, cyclops::bench::kObsRows | cyclops::bench::kFaultRows);
 
     std::vector<u32> sizes = {112, 248, 400,  600,  800,
                               1000, 1200, 1400, 1600, 2000};

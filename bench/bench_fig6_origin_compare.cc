@@ -43,7 +43,8 @@ const OriginPoint kOrigin[] = {
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts = cyclops::bench::parseOptions(
+        argc, argv, cyclops::bench::kObsRows | cyclops::bench::kFaultRows);
     cyclops::bench::banner(
         opts,
         "Figure 6(a): Cyclops best-mode STREAM vs thread count "

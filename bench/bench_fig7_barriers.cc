@@ -122,7 +122,8 @@ panel(const Options &opts, u32 points, const std::vector<u32> &threads)
 int
 main(int argc, char **argv)
 {
-    const Options opts = cyclops::bench::parseOptions(argc, argv);
+    const Options opts = cyclops::bench::parseOptions(
+        argc, argv, cyclops::bench::kObsRows | cyclops::bench::kFaultRows);
 
     cyclops::bench::banner(
         opts,

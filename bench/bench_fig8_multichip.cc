@@ -58,7 +58,9 @@ int
 main(int argc, char **argv)
 {
     const Options opts =
-        cyclops::bench::parseOptions(argc, argv, cyclops::bench::kObsRows);
+        cyclops::bench::parseOptions(argc, argv,
+                                     cyclops::bench::kObsRows |
+                                         cyclops::bench::kFabricRows);
     cyclops::bench::banner(
         opts, "Figure 8: multi-chip fabric scaling (2x2x1 .. 4x4x4 torus)",
         "sections 1, 2.2 - cellular systems scale by replicating chips "

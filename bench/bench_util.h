@@ -5,8 +5,9 @@
  * Every bench takes --quick, --csv, --scale, --jobs and --manifest
  * (optionTable). A bench whose simulated chips carry them also takes
  * the degraded-chip fault map of DESIGN.md section 13 and the
- * observability outputs of section 10; the others do not offer those
- * rows, so a flag a bench would ignore is refused. The usage text lists
+ * observability outputs of section 10, and a multi-chip bench the
+ * fabric outputs of section 17; the others do not offer those rows, so
+ * a flag a bench would ignore is refused. The usage text lists
  * a bench's rows. CYCLOPS_BENCH_JOBS sets the job count that --jobs
  * overrides.
  *
@@ -51,7 +52,8 @@ enum Rows : unsigned {
     kNoRows = 0,
     kObsRows = 1,   ///< observability outputs (Options::obs)
     kFaultRows = 2, ///< the degraded-chip fault map (Options::fault)
-    kAllRows = kObsRows | kFaultRows,
+    kFabricRows = 4, ///< the multi-chip fabric outputs (Options::obs)
+    kAllRows = kObsRows | kFaultRows | kFabricRows,
 };
 
 /**
@@ -77,6 +79,8 @@ optionTable(Options &opts, unsigned rows = kAllRows)
     } else {
         t.add(cli::manifest(&opts.manifestOut));
     }
+    if (rows & kFabricRows)
+        t.addFabric(opts.obs);
     return t;
 }
 
@@ -86,7 +90,7 @@ optionTable(Options &opts, unsigned rows = kAllRows)
  * setting the chip configuration refuses is a usage error too.
  */
 inline Options
-parseOptions(int argc, char **argv, unsigned rows = kAllRows)
+parseOptions(int argc, char **argv, unsigned rows)
 {
     Options opts;
     opts.startNs = hostNowNs();

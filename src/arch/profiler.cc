@@ -316,8 +316,8 @@ Profiler::writeHeatmapCsv(const std::string &path, const MemSystem &memsys,
     }
     // Per-bank totals from the banks themselves: every column of the
     // access matrix must sum to the matching entry of this row (the
-    // heatmap is enabled for the whole run), which check_prof.py and
-    // the unit tests assert.
+    // heatmap is enabled for the whole run), which
+    // `cyclops_check.py prof` and the unit tests assert.
     std::fputs("bankAccesses,-", f);
     for (BankId b = 0; b < cfg.numBanks; ++b)
         std::fprintf(

@@ -363,7 +363,7 @@ System::writeObservability()
     // "cyclops-chipN" (pid 1 stays the standalone guest process and
     // pid 2 is unused), and with the "net" category enabled the
     // fabric rides pid 3 as "cyclops-fabric" with one track per
-    // directed link (tools/check_trace.py validates the scheme).
+    // directed link (`tools/cyclops_check.py trace` validates it).
     const std::string path = obsOrig_.expandPath(obsOrig_.traceOut);
     std::FILE *f = openOutput(path, "trace output");
     std::fputs("{\n  \"displayTimeUnit\": \"ns\",\n"
@@ -459,7 +459,7 @@ System::writeFabricStats()
     // link crossings (per transmission attempt, so detours and
     // retransmits are included): sum over links of flits == sum over
     // pairs of linkFlits always, and linkFlits == flits * hops only
-    // while the fault map is empty (tools/check_fabric.py).
+    // while the fault map is empty (`tools/cyclops_check.py fabric`).
     std::fputs("\n  },\n  \"pairs\": [", f);
     first = true;
     const u32 chips = nc.numChips();

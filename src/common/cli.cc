@@ -153,11 +153,16 @@ OptionTable::addOutputs(ObsConfig &obs, std::string &manifest)
              "PC profile: P (JSON), P.folded, P.heatmap.csv"));
     add(u32Value("--prof-interval", &obs.profInterval,
                  "profile period in cycles (512 with --prof-out)"));
+    add(cli::manifest(&manifest));
+}
+
+void
+OptionTable::addFabric(ObsConfig &obs)
+{
     add(text("--fabric-stats", &obs.fabricStats,
              "fabric stats JSON, cyclops-fabric-v1 (multi-chip)"));
     add(text("--fabric-heatmap", &obs.fabricHeatmap,
              "link/pair congestion heatmap CSV (multi-chip)"));
-    add(cli::manifest(&manifest));
 }
 
 void

@@ -80,9 +80,11 @@ class OptionTable
      * --prof-out alone samples every 512 cycles.
      */
     void addObs(ObsConfig &obs);
-    /** --prof-out, --prof-interval, --fabric-stats, --fabric-heatmap
-     *  and --manifest. */
+    /** --prof-out, --prof-interval and --manifest. */
     void addOutputs(ObsConfig &obs, std::string &manifest);
+    /** --fabric-stats and --fabric-heatmap: only a multi-chip run
+     *  writes them. */
+    void addFabric(ObsConfig &obs);
     /** --disable-tu/quad/fpu/dcache/icache/bank, --cache-ways and
      *  --watchdog into @p fault. */
     void addFault(FaultConfig &fault);

@@ -152,7 +152,7 @@ CampaignResult runCampaign(const CampaignOptions &opts, u32 jobs);
 /**
  * Write the campaign report as deterministic JSON (schema
  * "cyclops-faultcamp-v1", no timestamps; byte-identical across runs
- * and job counts — tools/check_faultcamp.py validates it).
+ * and job counts — `tools/cyclops_check.py faultcamp` validates it).
  */
 void writeCampaignJson(const CampaignResult &result, std::FILE *out);
 

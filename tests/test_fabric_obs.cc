@@ -384,7 +384,7 @@ TEST(FabricObs, FabricStatsAndHeatmapFilesWellFormed)
     ASSERT_TRUE(r.verified);
 
     // Structural spot-checks; the ctest smoke runs the full validator
-    // (tools/check_fabric.py) on these same files.
+    // (`tools/cyclops_check.py fabric`) on files like these.
     const std::string stats = slurp(mc.obs.fabricStats);
     EXPECT_NE(stats.find("\"schema\": \"cyclops-fabric-v1\""),
               std::string::npos);

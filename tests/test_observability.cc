@@ -191,7 +191,7 @@ TEST(Observability, TraceJsonWellFormedAndDeterministic)
     EXPECT_EQ(a, b);
 
     // Structural spot-checks of the Chrome trace-event format; the
-    // ctest smoke test runs the full validator (tools/check_trace.py).
+    // ctest smoke case runs the full `tools/cyclops_check.py trace`.
     EXPECT_NE(a.find("\"traceEvents\": ["), std::string::npos);
     EXPECT_NE(a.find("\"process_name\""), std::string::npos);
     EXPECT_NE(a.find("\"thread_name\""), std::string::npos);

@@ -524,7 +524,7 @@ TEST(Profiler, EmptyTracerExportsValidChromeJson)
 {
     // A tracer that recorded nothing must still write valid Chrome
     // trace JSON (metadata only) — Perfetto accepts it and so does
-    // tools/check_trace.py.
+    // `tools/cyclops_check.py trace`.
     Tracer tracer;
     tracer.configure(kTraceAll, 256);
     ASSERT_TRUE(tracer.enabled());

@@ -229,6 +229,7 @@ main(int argc, char **argv)
                             "wall-clock limit, graceful stop (SIGALRM)"));
     table.addObs(obs);
     table.addOutputs(obs, manifestPath);
+    table.addFabric(obs);
     table.add({"--chips", "X,Y,Z", "run a torus of chips (also XxYxZ)",
                [&chipDims](const char *v) {
                    return parseDims(v, chipDims)
